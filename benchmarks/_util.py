@@ -39,23 +39,18 @@ BENCH_CONFIG = ScenarioConfig(n_vehicles=8, duration=90.0, warmup=10.0,
                               seed=2021)
 
 # Campaign-engine knobs for the T2/T3 table benches: REPRO_BENCH_WORKERS
-# fans episodes over a process pool, REPRO_BENCH_STORE reuses episode
-# results across harness runs through a result store URL (json:<dir> or
-# sqlite:<path>; the older REPRO_BENCH_CACHE=<dir> still works and maps
-# to json:).  Everything defaults to the plain serial, uncached
-# behaviour so timings stay comparable.
+# fans episodes over a process pool, REPRO_BENCH_STORE=sqlite:<path>
+# reuses episode results across harness runs.  Everything defaults to
+# the plain serial, uncached behaviour so timings stay comparable.
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 BENCH_STORE = os.environ.get("REPRO_BENCH_STORE") or None
-BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
 
 
 def bench_runner():
     """A campaign runner configured from the bench environment knobs."""
     from repro.core.runner import CampaignRunner
 
-    if BENCH_STORE is not None:
-        return CampaignRunner(workers=BENCH_WORKERS, store=BENCH_STORE)
-    return CampaignRunner(workers=BENCH_WORKERS, cache_dir=BENCH_CACHE_DIR)
+    return CampaignRunner(workers=BENCH_WORKERS, store=BENCH_STORE)
 
 
 def table_metrics(headers: Sequence[str],

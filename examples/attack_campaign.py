@@ -6,10 +6,9 @@ threat executed against the same 8-truck motorway platoon, reporting the
 compromised security attribute and the measured impact vs baseline.
 
 The campaign executes through the parallel campaign engine: use
-``--workers N`` to fan episodes over a process pool and ``--store``
-(``json:<dir>`` or ``sqlite:<path>``) to reuse episode results across
-invocations (identical results either way, thanks to per-experiment
-seed derivation).
+``--workers N`` to fan episodes over a process pool and ``--store
+sqlite:<path>`` to reuse episode results across invocations (identical
+results either way, thanks to per-experiment seed derivation).
 
 With ``--spec FILE`` the campaign instead runs one declarative
 ``platoonsec-experiment/1`` spec (see ``examples/specs/``) against the
@@ -58,7 +57,7 @@ def main() -> None:
                         help="campaign worker-pool size (1 = serial)")
     parser.add_argument("--store", default=None,
                         help="persistent result store URL "
-                             "(json:<dir> or sqlite:<path>)")
+                             "(sqlite:<path>)")
     parser.add_argument("--spec", default=None,
                         help="run one platoonsec-experiment/1 spec file "
                              "instead of the full catalogue")

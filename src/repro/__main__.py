@@ -16,14 +16,12 @@ Commands
 
 The campaign commands (``catalogue``, ``matrix``) execute through the
 campaign engine: ``--workers N`` fans episodes over a process pool,
-``--store URL`` persists/reuses episode results across invocations and
-processes (``json:<dir>`` for the one-file-per-hash layout,
-``sqlite:<path>`` for the concurrent-runner-safe database; the old
-``--cache-dir`` alias is gone and now errors with the replacement
-spelled out), ``--trace-dir DIR`` streams one schema-versioned JSONL
-trace per computed unit (named by content hash), ``--profile`` enables
-profiling spans and prints the aggregated counters/timers, and
-``--report`` prints the per-unit cache/timing breakdown.
+``--store sqlite:<path>`` persists/reuses episode results across
+invocations and concurrent processes in one sqlite database,
+``--trace-dir DIR`` streams one schema-versioned JSONL trace per
+computed unit (named by content hash), ``--profile`` enables profiling
+spans and prints the aggregated counters/timers, and ``--report``
+prints the per-unit cache/timing breakdown.
 ``experiment <specfile.json|threat[/variant]>``
     Run one declarative ``platoonsec-experiment/1`` spec (baseline vs
     attacked, plus a defended episode when the spec declares defences).
@@ -56,11 +54,10 @@ profiling spans and prints the aggregated counters/timers, and
     Run a campaign or sweep and render a single self-contained HTML
     report (outcome grids, inline-SVG dose-response curves, per-unit
     timing, cache summary) -- no scripts, no network assets.
-``store (stats|gc|migrate|verify) ...``
+``store (stats|gc|verify) ...``
     Maintain persistent result stores: entry/lease statistics,
-    ``gc --older-than 7d`` garbage collection, byte-identical
-    ``migrate <src> <dst>`` between backends, and ``verify``
-    re-checking every entry against its content key.
+    ``gc --older-than 7d`` garbage collection, and ``verify``
+    re-checking every entry against its content key and checksum.
 ``taxonomy``
     Print Tables I/II/III from the machine-readable taxonomy and verify
     the implementation registry.
@@ -71,8 +68,7 @@ Run telemetry
 -------------
 The campaign commands accept ``--run-log PATH`` (stream one JSON event
 line per run/unit/phase transition; with a store configured it defaults
-to ``run-log.jsonl`` inside a ``json:`` store's directory, or next to a
-``sqlite:`` store's database) and
+to ``run-log.jsonl`` next to the store's database) and
 ``--progress`` (force the live stderr progress line, which otherwise
 auto-enables only on a TTY).  ``--bench-history PATH`` appends one
 ``platoonsec-bench/1`` record per campaign to a JSONL history file that
@@ -107,22 +103,10 @@ def _base_config(args) -> ScenarioConfig:
 
 
 def _resolve_store(args):
-    """The result store selected by ``--store``.
-
-    ``--cache-dir`` served its one deprecation release as an alias for
-    ``--store json:DIR`` and is now removed; the argument survives only
-    so the error can name the exact replacement invocation.
-    """
+    """The result store selected by ``--store`` (None without one)."""
     from repro.store import open_store
 
-    if args.cache_dir is not None:
-        raise ValueError(
-            "--cache-dir was removed; use --store "
-            f"json:{args.cache_dir} (or --store sqlite:<path> for the "
-            "concurrent-runner-safe backend)")
-    if args.store is not None:
-        return open_store(args.store)
-    return None
+    return open_store(args.store) if args.store is not None else None
 
 
 def _make_telemetry(args, store=None):
@@ -130,9 +114,8 @@ def _make_telemetry(args, store=None):
 
     Returns ``None`` when nothing would listen (no ``--run-log``, no
     store to default it next to, progress neither forced nor on a TTY),
-    so the default CLI path stays telemetry-free.  The default run-log
-    placement is store-aware: inside the directory for ``json:`` stores,
-    a sibling ``run-log.jsonl`` next to the database for ``sqlite:``.
+    so the default CLI path stays telemetry-free.  With a store, the
+    run log defaults to a sibling ``run-log.jsonl`` next to its database.
     """
     from repro.obs.telemetry import (
         JsonlRunLogSink,
@@ -658,19 +641,6 @@ def cmd_store_gc(args) -> int:
     return 0
 
 
-def cmd_store_migrate(args) -> int:
-    from repro.store import migrate, open_store
-
-    src = open_store(args.src, create=False)
-    dst = open_store(args.dst)
-    migrated, problems = migrate(src, dst)
-    print(f"store migrate: {migrated} record(s) {src.url()} -> "
-          f"{dst.url()} (byte-identical round-trip verified)")
-    for key, reason in problems:
-        print(f"  PROBLEM {key}: {reason}", file=sys.stderr)
-    return 1 if problems else 0
-
-
 def cmd_store_verify(args) -> int:
     from repro.store import open_store
 
@@ -897,12 +867,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="campaign worker-pool size (1 = serial)")
     parser.add_argument("--store", default=None,
-                        help="persistent result store URL: json:<dir> "
-                             "(one file per episode hash) or "
-                             "sqlite:<path> (single WAL database, safe "
-                             "for concurrent runners)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="removed: use --store json:<dir> instead")
+                        help="persistent result store URL sqlite:<path> "
+                             "(single WAL database, safe for concurrent "
+                             "runners)")
     parser.add_argument("--trace-dir", default=None,
                         help="directory for per-unit JSONL episode traces")
     parser.add_argument("--profile", action="store_true",
@@ -916,8 +883,8 @@ def main(argv=None) -> int:
     parser.add_argument("--run-log", default=None,
                         help="stream one JSON event line per run/unit/phase "
                              "transition to this file (defaults to "
-                             "run-log.jsonl inside/next to the --store "
-                             "backend when one is configured)")
+                             "run-log.jsonl next to the --store "
+                             "database when one is configured)")
     parser.add_argument("--progress", action="store_true",
                         help="force the live stderr progress line "
                              "(auto-enabled only when stderr is a TTY)")
@@ -1063,11 +1030,13 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p_bench.add_argument("old", nargs="?", default=None,
                          help="old bench-record JSON file (e.g. a CI "
-                              "golden); omit both files to compare "
+                              "golden) or JSONL history (its latest "
+                              "entry); omit both files to compare "
                               "history entries")
     p_bench.add_argument("new", nargs="?", default=None,
-                         help="new bench-record JSON file; when omitted, "
-                              "the latest --history entry is the new side")
+                         help="new bench-record JSON file or JSONL "
+                              "history; when omitted, the latest --history "
+                              "entry is the new side")
     p_bench.add_argument("--history", default="BENCH_history.jsonl",
                          help="JSONL bench history written by "
                               "--bench-history (default: %(default)s)")
@@ -1104,30 +1073,24 @@ def main(argv=None) -> int:
     p_store = sub.add_parser(
         "store",
         help="inspect and maintain persistent result stores",
-        epilog="store URLs: json:<dir> | sqlite:<path>",
+        epilog="store URL: sqlite:<path>",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     store_sub = p_store.add_subparsers(dest="store_cmd", required=True)
     p_sstats = store_sub.add_parser(
         "stats", help="entry/byte/lease counts for one store")
-    p_sstats.add_argument("url", help="store URL (json:<dir>|sqlite:<path>)")
+    p_sstats.add_argument("url", help="store URL (sqlite:<path>)")
     p_sstats.set_defaults(fn=cmd_store_stats)
     p_sgc = store_sub.add_parser(
         "gc", help="drop old entries and expired leases")
-    p_sgc.add_argument("url", help="store URL (json:<dir>|sqlite:<path>)")
+    p_sgc.add_argument("url", help="store URL (sqlite:<path>)")
     p_sgc.add_argument("--older-than", default=None,
                        help="delete entries older than this age "
                             "(e.g. 7d, 36h, 90m, 3600); with no age, "
-                            "only expired leases and write debris go")
+                            "only expired leases go")
     p_sgc.set_defaults(fn=cmd_store_gc)
-    p_smig = store_sub.add_parser(
-        "migrate",
-        help="copy every record between stores (round-trip verified)")
-    p_smig.add_argument("src", help="source store URL (must exist)")
-    p_smig.add_argument("dst", help="destination store URL (created)")
-    p_smig.set_defaults(fn=cmd_store_migrate)
     p_sver = store_sub.add_parser(
         "verify", help="re-check every entry against its content key")
-    p_sver.add_argument("url", help="store URL (json:<dir>|sqlite:<path>)")
+    p_sver.add_argument("url", help="store URL (sqlite:<path>)")
     p_sver.set_defaults(fn=cmd_store_verify)
 
     sub.add_parser("taxonomy", help="print the machine-readable tables") \

@@ -277,7 +277,6 @@ def run_threat_catalogue(base_config: Optional[ScenarioConfig] = None,
                          threats: Optional[Sequence[str]] = None,
                          *,
                          workers: int = 1,
-                         cache_dir=None,
                          store=None,
                          trace_dir=None,
                          seed_replicates: int = 1,
@@ -286,10 +285,10 @@ def run_threat_catalogue(base_config: Optional[ScenarioConfig] = None,
     """Table II campaign: every catalogued threat, baseline vs attacked.
 
     Executes through the campaign engine: pass ``workers``, a result
-    store (``store="json:DIR"`` / ``"sqlite:PATH"``, or the legacy
-    ``cache_dir`` alias) and/or ``trace_dir`` (or a preconfigured
-    ``runner``, which wins) to parallelise, to persist/reuse episode
-    results, and to stream per-unit JSONL traces.  Results are
+    store (``store="sqlite:PATH"``) and/or ``trace_dir`` (or a
+    preconfigured ``runner``, which wins) to parallelise, to
+    persist/reuse episode results, and to stream per-unit JSONL
+    traces.  Results are
     independent of the worker count.
 
     ``seed_replicates=N`` runs every threat at N derived seeds (sweep
@@ -302,7 +301,7 @@ def run_threat_catalogue(base_config: Optional[ScenarioConfig] = None,
         raise ValueError("seed_replicates must be >= 1")
     keys = list(threats) if threats is not None else list(taxonomy.THREATS)
     engine = runner if runner is not None else CampaignRunner(
-        workers=workers, cache_dir=cache_dir, store=store,
+        workers=workers, store=store,
         trace_dir=trace_dir)
     with obs.timed("campaign.plan"):
         plans = [[plan_threat_experiment(key, base_config, replicate=r)
@@ -360,7 +359,6 @@ def highway_variants() -> list[tuple[str, str]]:
 def run_highway_catalogue(base_config: Optional[ScenarioConfig] = None,
                           *,
                           workers: int = 1,
-                          cache_dir=None,
                           store=None,
                           trace_dir=None,
                           seed_replicates: int = 1,
@@ -379,7 +377,7 @@ def run_highway_catalogue(base_config: Optional[ScenarioConfig] = None,
     if not cells:
         raise ValueError("the catalogue has no highway variants")
     engine = runner if runner is not None else CampaignRunner(
-        workers=workers, cache_dir=cache_dir, store=store,
+        workers=workers, store=store,
         trace_dir=trace_dir)
     with obs.timed("campaign.plan"):
         plans = [[plan_threat_experiment(threat, base_config, variant=variant,
@@ -474,7 +472,6 @@ def run_defense_matrix(base_config: Optional[ScenarioConfig] = None,
                        mechanisms: Optional[Sequence[str]] = None,
                        *,
                        workers: int = 1,
-                       cache_dir=None,
                        store=None,
                        trace_dir=None,
                        seed_replicates: int = 1,
@@ -495,7 +492,7 @@ def run_defense_matrix(base_config: Optional[ScenarioConfig] = None,
         raise ValueError("seed_replicates must be >= 1")
     keys = list(mechanisms) if mechanisms is not None else list(taxonomy.MECHANISMS)
     engine = runner if runner is not None else CampaignRunner(
-        workers=workers, cache_dir=cache_dir, store=store,
+        workers=workers, store=store,
         trace_dir=trace_dir)
     with obs.timed("campaign.plan"):
         plans: list[list[PlannedExperiment]] = []

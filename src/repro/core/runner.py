@@ -11,9 +11,9 @@ defended episodes -- the Table III mechanism key).  The
 * **Memoisation** -- every spec is content-hashed (threat, variant, role,
   mechanism, canonical config JSON); identical units execute exactly
   once per runner and results are shared.  With a ``store`` attached
-  (any :class:`~repro.store.ResultStore`; ``cache_dir=DIR`` is the
-  legacy spelling of ``store="json:DIR"``), records persist keyed by
-  spec hash and survive across processes; corrupt or stale entries are
+  (a :class:`~repro.store.SqliteStore` or its ``sqlite:<path>`` URL),
+  records persist keyed by spec hash and survive across processes;
+  corrupt, stale or misfiled rows -- and a failing store -- are
   treated as cache misses and recomputed, never raised.
 * **Unit leases** -- against a shared store, the runner claims an
   in-flight lease per missing unit before computing it.  A unit whose
@@ -66,14 +66,7 @@ from repro.core.scenario import ScenarioConfig, run_episode
 from repro.obs import registry as obs
 from repro.obs.telemetry import TelemetryBus
 from repro.obs.trace import trace_filename
-from repro.store import (
-    CACHE_FORMAT,        # noqa: F401  (re-export: the format lives with the stores now)
-    DEFAULT_LEASE_TTL,
-    JsonDirStore,
-    ResultStore,
-    StoreError,
-    open_store,
-)
+from repro.store import DEFAULT_LEASE_TTL, SqliteStore, StoreError, open_store
 
 ROLES = ("baseline", "attacked", "defended")
 
@@ -474,15 +467,11 @@ class CampaignRunner:
         ``ProcessPoolExecutor``.
     store:
         Optional persistent result store: a
-        :class:`~repro.store.ResultStore` instance or a
-        ``json:<dir>`` / ``sqlite:<path>`` URL.  Unreadable, corrupt or
-        stale entries fall back to recomputation -- they never raise.
-        Against a shared store the runner takes per-unit in-flight
-        leases (see ``lease_ttl``) so concurrent runners split the work
-        instead of duplicating it.
-    cache_dir:
-        Legacy alias for ``store="json:<dir>"`` -- the one-JSON-file-
-        per-hash layout.  Mutually exclusive with ``store``.
+        :class:`~repro.store.SqliteStore` or a ``sqlite:<path>`` URL.
+        Corrupt, stale or misfiled rows, and store failures, fall back
+        to recomputation -- they never raise.  Against a shared store
+        the runner takes per-unit in-flight leases (see ``lease_ttl``)
+        so concurrent runners split the work instead of duplicating it.
     lease_ttl:
         In-flight lease time-to-live in seconds.  A unit whose lease
         holder crashed becomes claimable again after this long, so it
@@ -505,25 +494,14 @@ class CampaignRunner:
     """
 
     def __init__(self, workers: int = 1,
-                 cache_dir: Optional[Union[str, Path]] = None,
                  trace_dir: Optional[Union[str, Path]] = None,
                  telemetry: Optional[TelemetryBus] = None,
-                 store: Optional[Union[str, Path, ResultStore]] = None,
+                 store: Optional[Union[str, SqliteStore]] = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  lease_poll: float = 0.05) -> None:
         self.workers = max(1, int(workers or 1))
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either store= or the legacy cache_dir= "
-                             "alias, not both")
-        if store is None and cache_dir is not None:
-            store = JsonDirStore(cache_dir)
-        elif store is not None and not isinstance(store, ResultStore):
-            store = open_store(store)
-        self.store: Optional[ResultStore] = store
-        # Legacy attribute: the cache directory when the store is the
-        # JSON-dir backend, None otherwise.
-        self.cache_dir = store.root if isinstance(store, JsonDirStore) \
-            else None
+        self.store: Optional[SqliteStore] = \
+            open_store(store) if store is not None else None
         self.lease_ttl = float(lease_ttl)
         self.lease_poll = float(lease_poll)
         self._owner = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
@@ -575,17 +553,17 @@ class CampaignRunner:
                             wall_time: float,
                             worker: Optional[int] = None,
                             record: Optional[EpisodeRecord] = None) -> None:
-        # Cache provenance names the backend the record lives in.  The
+        # Cache provenance names the store the record lives in.  The
         # field is volatile (like worker pids): canonical run logs stay
-        # byte-identical across backends, so the store-parity CI gate
-        # can cmp a json: run against a sqlite: run.
+        # byte-identical with and without a store, so the store-parity
+        # CI gate can cmp a sqlite: run against a store-less one.
         extra = self._highway_fields(spec)
         if self.store is not None:
             extra["store"] = self.store.backend
         # Detection-quality projection: derived from simulator state only,
         # so (unlike wall times / worker ids) it is NOT volatile -- the
         # fields survive into canonical run logs and are byte-identical
-        # across kernels, worker counts and store backends.
+        # across kernels, worker counts and with or without a store.
         totals = (record.detection or {}).get("totals") if record else None
         if totals:
             extra["detection"] = {
@@ -851,7 +829,7 @@ class CampaignRunner:
             return
         try:
             self.store.store(key, dataclasses.asdict(record))
-        except (OSError, StoreError):
+        except StoreError:
             pass
 
     # ---------------------------------------------------------- reporting

@@ -145,8 +145,8 @@ class Falsifier:
 
     ``runner`` defaults to a fresh serial :class:`CampaignRunner`; pass
     one configured with workers / a result store -- or just a ``store``
-    URL (``json:<dir>`` / ``sqlite:<path>``) -- to parallelise and
-    persist candidate evaluations.  Memoised candidates in a shared
+    URL (``sqlite:<path>``) -- to parallelise and persist candidate
+    evaluations.  Memoised candidates in a shared
     store are reused across falsifier processes (budgeted-search
     campaigns hammer the same schedules from many workers), with unit
     leases keeping concurrent searches from evaluating one candidate

@@ -139,27 +139,3 @@ class VectorRadioChannel(RadioChannel):
             if n_lost - n_jammed:
                 self.stats.lost_noise += n_lost - n_jammed
                 obs.inc("frames.lost_noise", n_lost - n_jammed)
-
-    # --------------------------------------------------------------- analysis
-
-    def mean_gain_matrix(self) -> tuple[list[str], np.ndarray]:
-        """Deterministic ``(N, N)`` received-power matrix [dBm].
-
-        Entry ``[i, j]`` is the fading-free power radio ``j`` would
-        receive from radio ``i`` transmitting at its (or the config's)
-        power -- i.e. ``mean_received_power_dbm`` for every ordered
-        pair at once.  The diagonal is ``+inf`` (no self-path loss).
-        """
-        cfg = self.config
-        radios = self.receivers_in_order()
-        ids = [r.node_id for r in radios]
-        positions = np.array([r.position() for r in radios])
-        tx_power = np.array([
-            r.tx_power_dbm if r.tx_power_dbm is not None else cfg.tx_power_dbm
-            for r in radios])
-        distances = np.abs(positions[:, None] - positions[None, :])
-        loss = path_loss_db_array(distances, cfg.reference_loss_db,
-                                  cfg.path_loss_exponent, cfg.min_distance_m)
-        matrix = tx_power[:, None] - loss
-        np.fill_diagonal(matrix, np.inf)
-        return ids, matrix

@@ -143,8 +143,15 @@ def load_history(path: Union[str, Path]) -> list[dict]:
 
 
 def load_record(path: Union[str, Path]) -> dict:
-    """Read one standalone bench-record JSON file (e.g. a CI golden)."""
-    data = json.loads(Path(path).read_text())
+    """Read one bench record: a standalone JSON document (e.g. a CI
+    golden), or the latest entry of a JSON-lines history file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError:
+        history = load_history(path)
+        if not history:
+            raise ValueError(f"history {path} is empty") from None
+        return history[-1]
     return validate_record(data, where=str(path))
 
 

@@ -39,8 +39,8 @@ Determinism
 Everything here is derived from simulator state only (simulation time,
 message identities) -- no wall clocks, no pids -- so ledgers, their
 summaries and the trace verdict records are byte-identical across
-kernels, worker counts and store backends, the same contract the trace
-layer pins for episode bodies.  The ledger's aggregate counts cover
+kernels, worker counts and with or without a result store, the same
+contract the trace layer pins for episode bodies.  The ledger's aggregate counts cover
 *every* decision; the per-event retention for the trace is capped at
 :data:`TRACE_VERDICT_CAP` records per (mechanism, verdict) pair --
 deterministically the first N in simulation order -- so a 90 s episode

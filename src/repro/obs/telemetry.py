@@ -52,11 +52,11 @@ EVENT_KINDS = (
 )
 
 #: Payload fields that describe scheduling/infrastructure rather than
-#: work (wall clocks, pids, emission order, pool size, which result-
-#: store backend served a record) and are stripped by
+#: work (wall clocks, pids, emission order, pool size, whether a result
+#: store served a record) and are stripped by
 #: :func:`canonical_events`.  ``store`` is volatile by design: the CI
-#: store-parity gate ``cmp``s a ``json:``-backed run's canonical log
-#: against a ``sqlite:``-backed one.
+#: store-parity gate ``cmp``s a ``sqlite:``-backed run's canonical log
+#: against a store-less one.
 VOLATILE_FIELDS = frozenset({"seq", "ts", "wall_time", "worker", "workers",
                              "store"})
 

@@ -1,45 +1,31 @@
-"""Pluggable content-addressed result stores for campaign episodes.
+"""Content-addressed result store for campaign episodes.
 
-Public surface::
-
-    open_store("json:/path/to/dir")     # one JSON file per key
-    open_store("sqlite:/path/store.db") # one WAL-mode database
-
-plus the :class:`ResultStore` ABC (lease protocol, stats/verify/gc) and
-:func:`migrate` for byte-identical backend-to-backend copies.  See
-:mod:`repro.store.base` for the protocol contract.
+``open_store("sqlite:/path/store.db")`` opens a :class:`SqliteStore`:
+one WAL-mode database holding every episode record plus the in-flight
+unit leases, with ``stats``/``gc``/``verify`` maintenance.  See
+:mod:`repro.store.sqlite` for the lease protocol.
 """
 
-from repro.store.base import (
+from repro.store.sqlite import (
     CACHE_FORMAT,
     DEFAULT_LEASE_TTL,
-    STORE_SCHEMES,
     LeaseInfo,
-    ResultStore,
+    SqliteStore,
     StoreError,
     StoreStats,
     VerifyReport,
-    canonical_record_bytes,
-    migrate,
     open_store,
     parse_store_url,
 )
-from repro.store.jsondir import JsonDirStore
-from repro.store.sqlite import SqliteStore
 
 __all__ = [
     "CACHE_FORMAT",
     "DEFAULT_LEASE_TTL",
-    "STORE_SCHEMES",
     "LeaseInfo",
-    "ResultStore",
+    "SqliteStore",
     "StoreError",
     "StoreStats",
     "VerifyReport",
-    "canonical_record_bytes",
-    "migrate",
     "open_store",
     "parse_store_url",
-    "JsonDirStore",
-    "SqliteStore",
 ]

@@ -130,11 +130,11 @@ class SweepEngine:
     """Plans and executes sweeps through a campaign runner."""
 
     def __init__(self, runner: Optional[CampaignRunner] = None, *,
-                 workers: int = 1, cache_dir=None, store=None,
-                 trace_dir=None, telemetry=None) -> None:
+                 workers: int = 1, store=None, trace_dir=None,
+                 telemetry=None) -> None:
         self.runner = runner if runner is not None else CampaignRunner(
-            workers=workers, cache_dir=cache_dir, store=store,
-            trace_dir=trace_dir, telemetry=telemetry)
+            workers=workers, store=store, trace_dir=trace_dir,
+            telemetry=telemetry)
 
     def _emit_phase(self, phase: str, finished: bool = False,
                     **payload) -> None:
@@ -251,11 +251,10 @@ class SweepEngine:
                            thresholds=thresholds)
 
 
-def run_sweep(spec: SweepSpec, *, workers: int = 1, cache_dir=None,
-              store=None, trace_dir=None, telemetry=None,
+def run_sweep(spec: SweepSpec, *, workers: int = 1, store=None,
+              trace_dir=None, telemetry=None,
               runner: Optional[CampaignRunner] = None) -> SweepResult:
     """One-call sweep: build an engine, run, aggregate."""
-    engine = SweepEngine(runner=runner, workers=workers,
-                         cache_dir=cache_dir, store=store,
+    engine = SweepEngine(runner=runner, workers=workers, store=store,
                          trace_dir=trace_dir, telemetry=telemetry)
     return engine.run(spec)

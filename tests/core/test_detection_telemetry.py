@@ -152,7 +152,7 @@ class TestCampaignIntegration:
             "replay", ScenarioConfig(n_vehicles=4, duration=20.0,
                                      warmup=8.0, seed=7),
             mechanism_key="secret_public_keys")
-        url = f"json:{tmp_path / 'cache'}"
+        url = f"sqlite:{tmp_path / 'store.db'}"
         first = CampaignRunner(store=url).run([plan.defended])
         again = CampaignRunner(store=url).run([plan.defended])
         key = plan.defended.key

@@ -1,8 +1,8 @@
 """Tests for the campaign execution engine (`repro.core.runner`).
 
 Covers cache hit/miss accounting, worker-pool vs serial equivalence,
-seed-derivation stability, disk-cache persistence, and corrupt/stale
-cache-file handling (recompute, never crash).
+seed-derivation stability, result-store persistence, and corrupt,
+stale or misfiled store rows (recompute, never crash).
 """
 
 import json
@@ -25,6 +25,7 @@ from repro.core.runner import (
     derive_seed,
 )
 from repro.core.scenario import ScenarioConfig
+from repro.store import SqliteStore
 
 # Small episodes: the engine behaviour under test is identical at any size.
 TINY = ScenarioConfig(n_vehicles=4, duration=30.0, warmup=6.0, seed=7)
@@ -340,11 +341,21 @@ class TestSerialParallelEquivalence:
 
 
 class TestDiskCache:
+    @staticmethod
+    def url(tmp_path):
+        return f"sqlite:{tmp_path / 'store.db'}"
+
+    @staticmethod
+    def execute(tmp_path, sql, params=()):
+        """Edit the store's rows behind the runner's back."""
+        with SqliteStore(tmp_path / "store.db") as store:
+            store._connect().execute(sql, params)
+
     def test_persists_across_runner_instances(self, tmp_path):
-        first = run_threat_catalogue(TINY, threats=["jamming"],
-                                     cache_dir=tmp_path)
-        assert list(tmp_path.glob("*.json"))
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        url = self.url(tmp_path)
+        first = run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        assert SqliteStore(tmp_path / "store.db").keys()
+        fresh = CampaignRunner(store=url)
         second = run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         report = fresh.report()
         assert report.computed == 0 and report.cache_hits == 2
@@ -352,46 +363,49 @@ class TestDiskCache:
         assert first == second
 
     def test_corrupt_cache_file_recomputes(self, tmp_path):
+        url = self.url(tmp_path)
         reference = run_threat_catalogue(TINY, threats=["jamming"],
-                                         cache_dir=tmp_path)
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{ this is not json")
-        fresh = CampaignRunner(cache_dir=tmp_path)
+                                         store=url)
+        self.execute(tmp_path, "UPDATE records SET record = '{ this is not json'")
+        fresh = CampaignRunner(store=url)
         recovered = run_threat_catalogue(TINY, threats=["jamming"],
                                          runner=fresh)
         assert fresh.report().computed == 2
         assert recovered == reference
-        # The corrupt files were overwritten with good records.
-        again = CampaignRunner(cache_dir=tmp_path)
+        # The corrupt rows were overwritten with good records.
+        again = CampaignRunner(store=url)
         run_threat_catalogue(TINY, threats=["jamming"], runner=again)
         assert again.report().cache_hits == 2
 
     def test_stale_format_recomputes(self, tmp_path):
-        run_threat_catalogue(TINY, threats=["jamming"], cache_dir=tmp_path)
-        for path in tmp_path.glob("*.json"):
-            data = json.loads(path.read_text())
-            data["format"] = "platoonsec-episode-cache/0"
-            path.write_text(json.dumps(data))
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        url = self.url(tmp_path)
+        run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        self.execute(tmp_path, "UPDATE records SET format = ?",
+                     ("platoonsec-episode-cache/0",))
+        fresh = CampaignRunner(store=url)
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         assert fresh.report().computed == 2
 
     def test_key_mismatch_recomputes(self, tmp_path):
-        run_threat_catalogue(TINY, threats=["jamming"], cache_dir=tmp_path)
-        paths = sorted(tmp_path.glob("*.json"))
-        # Swap one record under another record's filename: the embedded
-        # key no longer matches, so the entry must be treated as a miss.
-        data = json.loads(paths[0].read_text())
-        paths[1].write_text(json.dumps(data))
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        url = self.url(tmp_path)
+        run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        first, second = SqliteStore(tmp_path / "store.db").keys()
+        # Copy one row's record (and its valid checksum) under another
+        # row's key: the embedded spec_key no longer matches, so the
+        # entry must be treated as a miss.
+        self.execute(tmp_path,
+                     "UPDATE records SET (record, sha256) = "
+                     "(SELECT record, sha256 FROM records WHERE key = ?) "
+                     "WHERE key = ?", (first, second))
+        fresh = CampaignRunner(store=url)
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         assert fresh.report().computed == 1
 
     def test_cached_records_equal_computed_records(self, tmp_path):
-        runner = CampaignRunner(cache_dir=tmp_path)
+        runner = CampaignRunner(store=self.url(tmp_path))
         plan = plan_threat_experiment("jamming", TINY)
         computed = runner.run([plan.baseline])[plan.baseline.key]
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        fresh = CampaignRunner(store=self.url(tmp_path))
         loaded = fresh.run([plan.baseline])[plan.baseline.key]
         assert loaded == computed
 

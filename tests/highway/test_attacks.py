@@ -29,11 +29,11 @@ CELLS = {("sybil", "highway-ghost-shopping"),
 
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
-    cache_dir = tmp_path_factory.mktemp("highway-cache")
-    first = run_highway_catalogue(BASE, cache_dir=cache_dir)
+    store = f"sqlite:{tmp_path_factory.mktemp('highway-store') / 'store.db'}"
+    first = run_highway_catalogue(BASE, store=store)
     sink = RecordingSink()
     second = run_highway_catalogue(
-        BASE, runner=CampaignRunner(cache_dir=cache_dir,
+        BASE, runner=CampaignRunner(store=store,
                                     telemetry=TelemetryBus([sink])))
     return first, second, sink
 

@@ -9,8 +9,6 @@ see ``repro.kernel`` module docstrings for the argument).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,6 @@ from repro.net.fading import (
     path_loss_db_array,
     success_probability_array,
 )
-from repro.net.simulator import Simulator
 from repro.platoon.controllers import (
     AccController,
     ControllerInputs,
@@ -252,42 +249,6 @@ def test_success_probability_mirrors_reception_success_guard(sinr):
         assert p == 0.0
     else:
         assert 0.0 < p < 1.0
-
-
-def _registered_channel(n):
-    from repro.net.radio import Radio
-
-    from repro.kernel import VectorRadioChannel
-
-    sim = Simulator(seed=7)
-    channel = VectorRadioChannel(sim, ChannelConfig())
-    positions = [1000.0 - 37.0 * i for i in range(n)]
-    for i, pos in enumerate(positions):
-        Radio(sim, channel, f"node{i}", lambda pos=pos: pos)
-    return channel, positions
-
-
-@pytest.mark.parametrize("n", [2, 5, 9])
-def test_mean_gain_matrix_matches_pairwise_received_power(n):
-    """(N, N) gain matrix entries == scalar mean_received_power_dbm.
-
-    The matrix uses numpy's log10 while the scalar path-loss uses
-    ``math.log10``; the two differ in the last ulp on some inputs, so
-    this check is to 1e-9 dB -- documented tolerance, not bit identity
-    (the matrix is analysis tooling, never part of episode traces).
-    """
-    channel, positions = _registered_channel(n)
-    ids, matrix = channel.mean_gain_matrix()
-    assert ids == [f"node{i}" for i in range(n)]
-    cfg = channel.config
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                assert matrix[i, j] == math.inf
-                continue
-            want = channel.mean_received_power_dbm(
-                cfg.tx_power_dbm, abs(positions[i] - positions[j]))
-            assert matrix[i, j] == pytest.approx(want, abs=1e-9)
 
 
 # ------------------------------------------------------------------- fading

@@ -85,6 +85,17 @@ class TestHistoryIO:
         path.write_text(json.dumps(record(), indent=2))
         assert load_record(path)["label"] == "camp"
 
+    def test_load_record_takes_latest_history_entry(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        append_history(path, record(label="a"))
+        assert load_record(path)["label"] == "a"
+        append_history(path, record(label="b"))
+        assert load_record(path)["label"] == "b"
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        with pytest.raises(ValueError, match="empty"):
+            load_record(empty)
+
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unsupported bench record"):
             append_history(tmp_path / "h.jsonl", {"format": "nope/9",

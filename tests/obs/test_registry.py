@@ -226,8 +226,9 @@ class TestRunnerAggregation:
         assert runner.report().counters == first
 
     def test_disk_cache_hits_do_not_double_count(self, tmp_path):
-        run_threat_catalogue(TINY, threats=["jamming"], cache_dir=tmp_path)
-        fresh = CampaignRunner(cache_dir=tmp_path)
+        store = f"sqlite:{tmp_path / 'store.db'}"
+        run_threat_catalogue(TINY, threats=["jamming"], store=store)
+        fresh = CampaignRunner(store=store)
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         report = fresh.report()
         assert report.cache_hits == 2 and report.computed == 0

@@ -26,6 +26,7 @@ from repro.obs.telemetry import (
     canonical_run_log_bytes,
     load_run_log,
 )
+from repro.store import SqliteStore
 
 TINY = ScenarioConfig(n_vehicles=4, duration=30.0, warmup=6.0, seed=7)
 
@@ -214,9 +215,9 @@ class TestRunnerEventStream:
 
     def test_cache_hits_flagged(self, tmp_path):
         sink = RecordingSink()
-        run_tiny_campaign(cache_dir=tmp_path / "cache")
-        run_tiny_campaign(cache_dir=tmp_path / "cache",
-                          telemetry=TelemetryBus([sink]))
+        store = f"sqlite:{tmp_path / 'store.db'}"
+        run_tiny_campaign(store=store)
+        run_tiny_campaign(store=store, telemetry=TelemetryBus([sink]))
         finished = [e.payload for e in sink.events
                     if e.kind == "unit_finished"]
         assert finished and all(p["cache_hit"] for p in finished)
@@ -288,22 +289,20 @@ class TestZeroCostWhenDisabled:
     that differ between *any* two runs)."""
 
     @staticmethod
-    def stable_cache_view(entry: dict) -> dict:
-        view = dict(entry)
-        record = dict(view.get("record") or {})
-        record.pop("wall_time", None)
+    def stable_record_view(record: dict) -> dict:
+        view = dict(record)
+        view.pop("wall_time", None)
         # The observability snapshot carries per-episode timer wall
         # times; its presence and keys are part of the format, the
         # timings are not deterministic.
-        record["observability"] = sorted(record.get("observability") or {})
-        view["record"] = record
+        view["observability"] = sorted(view.get("observability") or {})
         return view
 
     def test_cache_and_traces_unperturbed(self, tmp_path):
         quiet, loud = tmp_path / "quiet", tmp_path / "loud"
-        run_tiny_campaign(cache_dir=quiet / "cache",
+        run_tiny_campaign(store=f"sqlite:{quiet / 'store.db'}",
                           trace_dir=quiet / "traces")
-        run_tiny_campaign(cache_dir=loud / "cache",
+        run_tiny_campaign(store=f"sqlite:{loud / 'store.db'}",
                           trace_dir=loud / "traces",
                           telemetry=TelemetryBus([RecordingSink()]))
         quiet_traces = sorted((quiet / "traces").glob("*.trace.jsonl"))
@@ -313,11 +312,13 @@ class TestZeroCostWhenDisabled:
         assert quiet_traces                     # computed units traced
         for a, b in zip(quiet_traces, loud_traces):
             assert a.read_bytes() == b.read_bytes()
-        quiet_cache = sorted((quiet / "cache").glob("*.json"))
-        loud_cache = sorted((loud / "cache").glob("*.json"))
-        assert [p.name for p in quiet_cache] == [p.name for p in loud_cache]
-        assert quiet_cache
-        for a, b in zip(quiet_cache, loud_cache):
-            ea, eb = json.loads(a.read_text()), json.loads(b.read_text())
-            assert sorted(ea) == sorted(eb)     # identical entry format
-            assert self.stable_cache_view(ea) == self.stable_cache_view(eb)
+        with SqliteStore(quiet / "store.db") as quiet_store, \
+                SqliteStore(loud / "store.db") as loud_store:
+            keys = quiet_store.keys()
+            assert keys == loud_store.keys()
+            assert keys
+            for key in keys:
+                ra, rb = quiet_store.load(key), loud_store.load(key)
+                assert sorted(ra) == sorted(rb)     # identical record format
+                assert self.stable_record_view(ra) == \
+                    self.stable_record_view(rb)

@@ -101,13 +101,13 @@ class TestRunnerTraces:
             assert times == sorted(times)
 
     def test_cache_hits_write_no_traces(self, tmp_path):
-        cache = tmp_path / "cache"
+        store = f"sqlite:{tmp_path / 'store.db'}"
         first_traces = tmp_path / "a"
         second_traces = tmp_path / "b"
         run_threat_catalogue(TINY, threats=["jamming"],
-                             runner=CampaignRunner(cache_dir=cache,
+                             runner=CampaignRunner(store=store,
                                                    trace_dir=first_traces))
-        fresh = CampaignRunner(cache_dir=cache, trace_dir=second_traces)
+        fresh = CampaignRunner(store=store, trace_dir=second_traces)
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         assert fresh.report().cache_hits == 2
         assert list(second_traces.glob("*.trace.jsonl")) == []

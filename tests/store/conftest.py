@@ -1,19 +1,16 @@
-"""Shared fixtures: every contract test runs against both backends."""
+"""Shared fixtures for the result-store tests."""
 
 import pytest
 
-from repro.store import JsonDirStore, SqliteStore
+from repro.store import SqliteStore
 
 
-@pytest.fixture(params=["json", "sqlite"])
-def store(request, tmp_path):
-    """A fresh store of each backend, closed after the test."""
-    if request.param == "json":
-        backend = JsonDirStore(tmp_path / "cache")
-    else:
-        backend = SqliteStore(tmp_path / "store.db")
-    yield backend
-    backend.close()
+@pytest.fixture
+def store(tmp_path):
+    """A fresh store, closed after the test."""
+    fresh = SqliteStore(tmp_path / "store.db")
+    yield fresh
+    fresh.close()
 
 
 RECORD = {

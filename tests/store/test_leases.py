@@ -1,4 +1,4 @@
-"""Lease-protocol contract tests (both backends).
+"""Lease-protocol contract tests.
 
 The protocol under test is the one the campaign runner drives:
 ``acquire`` answers ``hit`` / ``acquired`` / ``held`` atomically,
@@ -60,12 +60,13 @@ class TestLeases:
         store.acquire(OTHER, "bob", ttl=60)
         time.sleep(0.06)
         assert store.purge_leases() == 1
-        assert store.active_leases() == 1
+        assert store.stats().leases == 1
 
     def test_delete_drops_the_lease(self, store):
         store.store(KEY, make_record(KEY))
         # Simulate a lease left behind by a crash mid-store.
-        store._acquire_lease(KEY, "ghost", 60.0, time.time())
+        store._connect().execute("INSERT INTO leases VALUES (?, ?, ?)",
+                                 (KEY, "ghost", time.time() + 60.0))
         store.delete(KEY)
         assert store.lease_holder(KEY) is None
 

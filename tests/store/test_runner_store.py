@@ -1,9 +1,9 @@
-"""CampaignRunner integration with the pluggable result store.
+"""CampaignRunner integration with the result store.
 
-Covers the ``store=`` kwarg wiring, bit-compatibility of the json
-backend with the historical ``cache_dir`` cache, cross-backend result
-equality, and the lease hand-off paths a single process can exercise
-(waiting on another party's result, taking over a crashed lease).
+Covers the ``store=`` kwarg wiring, store-backed results equal to
+store-less ones, a broken database degrading to recomputation, and the
+lease hand-off paths a single process can exercise (waiting on another
+party's result, taking over a crashed lease).
 """
 
 import threading
@@ -14,60 +14,20 @@ import pytest
 from repro.core.campaign import run_threat_catalogue
 from repro.core.runner import CampaignRunner
 from repro.core.scenario import ScenarioConfig
-from repro.store import JsonDirStore, SqliteStore, migrate
+from repro.store import SqliteStore, StoreError
+from tests.store.conftest import KEY, OTHER, make_record
 
 TINY = ScenarioConfig(n_vehicles=4, duration=30.0, warmup=6.0, seed=7)
 
 
 class TestRunnerStoreWiring:
-    def test_store_and_cache_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_dir"):
-            CampaignRunner(store=f"json:{tmp_path / 'a'}",
-                           cache_dir=tmp_path / "b")
-
-    def test_cache_dir_maps_to_a_json_store(self, tmp_path):
-        runner = CampaignRunner(cache_dir=tmp_path)
-        assert isinstance(runner.store, JsonDirStore)
-        assert runner.store.root == tmp_path
-        assert runner.cache_dir == tmp_path      # legacy attribute survives
-
     def test_store_url_string_resolved(self, tmp_path):
         runner = CampaignRunner(store=f"sqlite:{tmp_path / 'store.db'}")
         assert runner.store.backend == "sqlite"
-        assert runner.cache_dir is None
 
     def test_store_instance_passed_through(self, tmp_path):
         store = SqliteStore(tmp_path / "store.db")
         assert CampaignRunner(store=store).store is store
-
-    def test_runner_cache_files_survive_migration_byte_identical(
-            self, tmp_path):
-        # cache_dir files written by a real campaign, round-tripped
-        # json -> sqlite -> json, come back byte-for-byte identical.
-        run_threat_catalogue(TINY, threats=["jamming"],
-                             cache_dir=tmp_path / "legacy")
-        legacy = JsonDirStore(tmp_path / "legacy")
-        db = SqliteStore(tmp_path / "store.db")
-        back = JsonDirStore(tmp_path / "back")
-        assert migrate(legacy, db)[1] == []
-        assert migrate(db, back)[1] == []
-        files = sorted((tmp_path / "legacy").glob("*.json"))
-        assert files
-        for path in files:
-            assert path.read_bytes() == \
-                (tmp_path / "back" / path.name).read_bytes()
-
-    def test_legacy_cache_dir_files_hit_through_store_url(self, tmp_path):
-        # Warm caches written before the store refactor must keep
-        # hitting with zero migration.
-        first = run_threat_catalogue(TINY, threats=["jamming"],
-                                     cache_dir=tmp_path)
-        fresh = CampaignRunner(store=f"json:{tmp_path}")
-        second = run_threat_catalogue(TINY, threats=["jamming"],
-                                      runner=fresh)
-        report = fresh.report()
-        assert report.computed == 0 and report.cache_hits == 2
-        assert first == second
 
     def test_sqlite_persists_across_runner_instances(self, tmp_path):
         url = f"sqlite:{tmp_path / 'store.db'}"
@@ -80,13 +40,70 @@ class TestRunnerStoreWiring:
         assert {u.source for u in report.units} == {"disk"}
         assert first == second
 
-    def test_backends_produce_equal_results(self, tmp_path):
-        via_json = run_threat_catalogue(TINY, threats=["jamming"],
-                                        store=f"json:{tmp_path / 'j'}")
-        via_sqlite = run_threat_catalogue(
+    def test_store_run_equals_store_less_run(self, tmp_path):
+        via_store = run_threat_catalogue(
             TINY, threats=["jamming"],
             store=f"sqlite:{tmp_path / 'store.db'}")
-        assert via_json == via_sqlite
+        assert via_store == run_threat_catalogue(TINY, threats=["jamming"])
+
+
+class TestClobberedStore:
+    """A database file overwritten with garbage after the store opened."""
+
+    @pytest.fixture
+    def clobbered(self, tmp_path):
+        store = SqliteStore(tmp_path / "store.db")
+        store.store(KEY, make_record(KEY))
+        store.close()
+        store.path.write_bytes(b"not a database " * 512)
+        yield store
+        store.close()
+
+    def test_every_method_misses_or_raises_store_error(self, clobbered):
+        calls = {
+            "load": lambda: clobbered.load(KEY),
+            "store": lambda: clobbered.store(OTHER, make_record(OTHER)),
+            "delete": lambda: clobbered.delete(KEY),
+            "keys": clobbered.keys,
+            "acquire": lambda: clobbered.acquire(OTHER, "me"),
+            "release": lambda: clobbered.release(OTHER, "me"),
+            "lease_holder": lambda: clobbered.lease_holder(OTHER),
+            "purge_leases": clobbered.purge_leases,
+            "stats": clobbered.stats,
+            "verify": clobbered.verify,
+            "gc": lambda: clobbered.gc(older_than=0.0),
+        }
+        for name, call in calls.items():
+            try:
+                result = call()
+            except StoreError:
+                continue
+            assert name == "load" and result is None, name
+
+    def test_runner_computes_every_unit(self, clobbered):
+        # The store failing on every call must neither abort the
+        # campaign nor replace an episode's result: every unit computes.
+        runner = CampaignRunner(store=clobbered)
+        results = run_threat_catalogue(TINY, threats=["jamming"],
+                                       runner=runner)
+        report = runner.report()
+        assert report.computed == 2 and report.cache_hits == 0
+        assert results == run_threat_catalogue(TINY, threats=["jamming"])
+
+    def test_episode_exception_is_not_replaced(self, clobbered,
+                                               monkeypatch):
+        # Releasing the failed unit's lease hits the broken database;
+        # the caller must still see the episode's own exception.
+        from repro.core import runner as runner_mod
+        from repro.core.campaign import plan_threat_experiment
+
+        def explode(*args):
+            raise RuntimeError("episode failed")
+
+        monkeypatch.setattr(runner_mod, "_execute_spec", explode)
+        spec = plan_threat_experiment("jamming", TINY).baseline
+        with pytest.raises(RuntimeError, match="episode failed"):
+            CampaignRunner(store=clobbered).run([spec])
 
 
 class TestLeaseHandOff:
@@ -137,4 +154,4 @@ class TestLeaseHandOff:
         report = runner.report()
         assert report.computed == 2 and report.cache_hits == 0
         assert cold.keys() == sorted(keys)
-        assert cold.active_leases() == 0
+        assert cold.stats().leases == 0

@@ -1,24 +1,16 @@
-"""Backend-agnostic contract tests for the result-store layer.
+"""Contract tests for the sqlite result store.
 
-Every test in ``TestStoreContract`` runs against both the JSON-directory
-and the sqlite backend via the parametrized ``store`` fixture; the
-backend-specific classes pin the JSON layout's bit-compatibility with
-the historical ``cache_dir`` cache and the sqlite checksum column.
+``TestStoreContract`` pins the record API (round trip, upsert, stale,
+corrupt and misfiled rows as misses, stats/verify/gc); the integrity
+class pins the sqlite checksum column and WAL mode.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.store import (
-    CACHE_FORMAT,
-    JsonDirStore,
-    SqliteStore,
-    canonical_record_bytes,
-    migrate,
-    open_store,
-    parse_store_url,
-)
+from repro.store import SqliteStore, open_store, parse_store_url
 from tests.store.conftest import KEY, OTHER, make_record
 
 
@@ -52,6 +44,12 @@ class TestStoreContract:
     def test_stale_format_is_a_miss(self, store):
         store.store(KEY, make_record(KEY))
         store.format = "platoonsec-episode-cache/999"
+        assert store.load(KEY) is None
+
+    def test_misfiled_record_is_a_miss(self, store):
+        # A record whose spec_key names another unit must never be
+        # served under this key.
+        store.store(KEY, make_record(OTHER))
         assert store.load(KEY) is None
 
     def test_stats(self, store):
@@ -106,17 +104,11 @@ class TestStoreContract:
     def test_gc_older_than(self, store):
         store.store(KEY, make_record(KEY))
         store.store(OTHER, make_record(OTHER))
-        now = store.entry_mtime(KEY)
+        now = store.stats().newest
         assert store.gc(older_than=3600.0, now=now + 10) == []
         deleted = store.gc(older_than=5.0, now=now + 3600)
         assert sorted(deleted) == [KEY, OTHER]
         assert store.keys() == []
-
-    def test_items_and_mtime(self, store):
-        store.store(KEY, make_record(KEY))
-        assert [key for key, _ in store.items()] == [KEY]
-        assert store.entry_mtime(KEY) is not None
-        assert store.entry_mtime(OTHER) is None
 
     def test_url_reopens_same_store(self, store):
         store.store(KEY, make_record(KEY))
@@ -129,126 +121,33 @@ class TestStoreContract:
     def test_default_run_log_is_a_sibling_path(self, store):
         path = store.default_run_log_path()
         assert path.name == "run-log.jsonl"
-        # json: inside the directory; sqlite: next to the database.
-        if store.backend == "json":
-            assert path.parent == store.root
-        else:
-            assert path.parent == store.path.parent
+        assert path.parent == store.path.parent
 
 
 class TestStoreUrls:
     def test_parse(self):
-        assert parse_store_url("json:/x/y") == ("json", "/x/y")
-        assert parse_store_url("sqlite:/x/store.db") == ("sqlite",
-                                                         "/x/store.db")
-
-    def test_bare_path_object_is_json(self, tmp_path):
-        assert parse_store_url(tmp_path) == ("json", str(tmp_path))
+        assert parse_store_url("sqlite:/x/store.db") == "/x/store.db"
 
     @pytest.mark.parametrize("bad", ["", "/plain/path", "ftp:/x",
-                                     "json:", "sqlite:"])
+                                     "json:", "sqlite:", "json:/x",
+                                     Path("/x")])
     def test_bad_urls_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_store_url(bad)
 
     def test_open_store_create_false_requires_existing(self, tmp_path):
         with pytest.raises(ValueError):
-            open_store(f"json:{tmp_path / 'nope'}", create=False)
-        with pytest.raises(ValueError):
             open_store(f"sqlite:{tmp_path / 'nope.db'}", create=False)
 
     def test_open_store_passes_instances_through(self, tmp_path):
-        store = JsonDirStore(tmp_path)
+        store = SqliteStore(tmp_path / "store.db")
         assert open_store(store) is store
 
-    def test_json_dir_over_a_file_rejected(self, tmp_path):
+    def test_store_path_under_a_file_rejected(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         with pytest.raises(ValueError):
-            JsonDirStore(blocker / "sub")
-
-
-class TestMigrate:
-    @pytest.mark.parametrize("direction", ["json->sqlite", "sqlite->json"])
-    def test_round_trip_byte_identical(self, tmp_path, direction):
-        a = JsonDirStore(tmp_path / "dir")
-        b = SqliteStore(tmp_path / "store.db")
-        src, dst = (a, b) if direction == "json->sqlite" else (b, a)
-        for key in (KEY, OTHER):
-            src.store(key, make_record(key))
-        migrated, problems = migrate(src, dst)
-        assert migrated == 2 and problems == []
-        for key in (KEY, OTHER):
-            assert (canonical_record_bytes(dst.load(key))
-                    == canonical_record_bytes(src.load(key)))
-
-    def test_unreadable_source_entries_reported(self, tmp_path):
-        src = JsonDirStore(tmp_path / "dir")
-        dst = SqliteStore(tmp_path / "store.db")
-        src.store(KEY, make_record(KEY))
-        (src.root / f"{OTHER}.json").write_text("{ truncated")
-        migrated, problems = migrate(src, dst)
-        assert migrated == 1
-        assert problems == [(OTHER, "unreadable in source store")]
-
-
-class TestJsonDirLayout:
-    """The json backend is bit-compatible with the pre-store cache."""
-
-    def test_file_bytes_match_the_historical_writer(self, tmp_path):
-        record = make_record(KEY)
-        store = JsonDirStore(tmp_path)
-        store.store(KEY, record)
-        # The pre-store CampaignRunner wrote exactly this.
-        legacy = json.dumps({"format": CACHE_FORMAT, "key": KEY,
-                             "record": record}, indent=1)
-        assert (tmp_path / f"{KEY}.json").read_text() == legacy
-
-    def test_legacy_files_load_unchanged(self, tmp_path):
-        record = make_record(KEY)
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(
-            {"format": CACHE_FORMAT, "key": KEY, "record": record},
-            indent=1))
-        assert JsonDirStore(tmp_path).load(KEY) == \
-            json.loads(json.dumps(record))
-
-    def test_truncated_entry_is_a_miss_then_repaired(self, tmp_path):
-        # A worker killed mid-write can only ever leave a *.tmp orphan,
-        # but a truncated real entry (pre-atomic-write cache, disk
-        # corruption) must read as a miss and be repairable in place.
-        store = JsonDirStore(tmp_path)
-        (tmp_path / f"{KEY}.json").write_text('{"format": "platoonsec-epi')
-        assert store.load(KEY) is None
-        store.store(KEY, make_record(KEY))
-        assert store.load(KEY)["seed"] == 123
-
-    def test_tmp_orphans_are_invisible_and_swept(self, tmp_path):
-        store = JsonDirStore(tmp_path)
-        orphan = tmp_path / f"{OTHER}.tmp"
-        orphan.write_text('{"format": "partial')
-        assert store.keys() == []
-        assert store.load(OTHER) is None
-        store.gc(now=orphan.stat().st_mtime + 3600)
-        assert not orphan.exists()
-
-    def test_writes_go_through_tmp_then_replace(self, tmp_path, monkeypatch):
-        # os.replace is the atomicity boundary: the payload must be
-        # fully written to the tmp name before the real key appears.
-        import os as _os
-
-        store = JsonDirStore(tmp_path)
-        seen = {}
-        real_replace = _os.replace
-
-        def checking_replace(src, dst):
-            seen["tmp_complete"] = json.loads(
-                open(src).read())["key"] == KEY
-            return real_replace(src, dst)
-
-        monkeypatch.setattr("repro.store.jsondir.os.replace",
-                            checking_replace)
-        store.store(KEY, make_record(KEY))
-        assert seen["tmp_complete"] is True
+            SqliteStore(blocker / "sub" / "store.db")
 
 
 class TestSqliteIntegrity:
@@ -275,3 +174,6 @@ class TestSqliteIntegrity:
         store._connect().execute(
             "UPDATE records SET record = '{oops' WHERE key = ?", (KEY,))
         assert store.load(KEY) is None
+        # Storing again repairs the row in place.
+        store.store(KEY, make_record(KEY))
+        assert store.load(KEY)["seed"] == 123

@@ -130,8 +130,9 @@ class TestExecution:
 
     def test_serial_parallel_cache_byte_identity(self, tmp_path):
         spec = tiny_spec()
-        cold = run_sweep(spec, workers=2, cache_dir=tmp_path / "cache")
-        warm = run_sweep(spec, cache_dir=tmp_path / "cache")
+        store = f"sqlite:{tmp_path / 'store.db'}"
+        cold = run_sweep(spec, workers=2, store=store)
+        warm = run_sweep(spec, store=store)
         plain = run_sweep(spec)
         assert artifact_bytes(cold) == artifact_bytes(warm)
         assert artifact_bytes(cold) == artifact_bytes(plain)

@@ -362,17 +362,6 @@ class TestCliDetections:
 class TestCliTelemetry:
     """The --run-log / --progress / --bench-history surface."""
 
-    def test_run_log_defaults_into_json_store_dir(self, tmp_path, capsys):
-        from repro.obs.telemetry import load_run_log
-
-        cache = tmp_path / "cache"
-        assert main(TINY + ["--store", f"json:{cache}",
-                            "catalogue", "--only", "jamming"]) == 0
-        records = load_run_log(cache / "run-log.jsonl")
-        kinds = [r["kind"] for r in records]
-        assert kinds[0] == "run_started" and kinds[-1] == "run_finished"
-        assert "unit_finished" in kinds
-
     def test_run_log_canonical_across_worker_counts(self, tmp_path, capsys):
         from repro.obs.telemetry import canonical_run_log_bytes
 
@@ -389,7 +378,7 @@ class TestCliTelemetry:
             self, tmp_path, capsys):
         """Satellite invariant: the detection projection on unit_finished
         events is part of the canonical run log, byte-identical between
-        serial, workers=2 and the sqlite backend (volatile fields like
+        serial, workers=2 and a sqlite store run (volatile fields like
         worker pids and store provenance are projected out; detection is
         deliberately NOT volatile)."""
         from repro.obs.telemetry import (
@@ -490,6 +479,18 @@ class TestCliBenchCompare:
             "fabricated", metrics={"m": 1.0}, git_sha=None, created=0.0)))
         assert main(["bench-compare", str(golden),
                      "--history", str(hist)]) == 0
+
+    def test_history_file_as_baseline(self, tmp_path, capsys):
+        # A multi-record JSONL history as the old side: its latest
+        # record is the baseline, so two run histories gate each other.
+        (tmp_path / "old").mkdir()
+        (tmp_path / "new").mkdir()
+        old = self.history_with(tmp_path / "old", [{"m": 5.0}, {"m": 1.0}])
+        new = self.history_with(tmp_path / "new", [{"m": 1.0}])
+        assert main(["bench-compare", str(old), "--history", str(new),
+                     "--metric-tolerance", "0"]) == 0
+        assert main(["bench-compare", str(old), str(new),
+                     "--metric-tolerance", "0"]) == 0
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
@@ -602,7 +603,7 @@ class TestConsoleScript:
 
 
 class TestCliStore:
-    """The --store flag, the --cache-dir deprecation, and `store` commands."""
+    """The --store flag and the `store` commands."""
 
     URL_FLAGS = TINY + ["--workers", "1"]
 
@@ -622,33 +623,30 @@ class TestCliStore:
 
     def test_sqlite_run_log_defaults_next_to_database(self, tmp_path,
                                                       capsys):
+        from repro.obs.telemetry import load_run_log
+
         url = f"sqlite:{tmp_path / 'store.db'}"
         assert self._catalogue(["--store", url], capsys)[0] == 0
-        assert (tmp_path / "run-log.jsonl").exists()
-
-    def test_cache_dir_is_removed_with_replacement_named(self, tmp_path,
-                                                         capsys):
-        # The deprecated alias served its one release; now it errors and
-        # the message spells out the exact --store replacement.
-        code, captured = self._catalogue(
-            ["--cache-dir", str(tmp_path / "cache")], capsys)
-        assert code == 2
-        assert "--cache-dir was removed" in captured.err
-        assert f"--store json:{tmp_path / 'cache'}" in captured.err
-        assert not (tmp_path / "cache").exists()
+        records = load_run_log(tmp_path / "run-log.jsonl")
+        kinds = [r["kind"] for r in records]
+        assert kinds[0] == "run_started" and kinds[-1] == "run_finished"
+        assert "unit_finished" in kinds
 
     def test_bad_store_url_is_a_usage_error(self, tmp_path, capsys):
-        code, captured = self._catalogue(["--store", str(tmp_path)],
-                                         capsys)
-        assert code == 2
-        assert "store url" in captured.err.lower()
+        cache = tmp_path / "cache"
+        for bad in (str(cache), f"json:{cache}"):
+            code, captured = self._catalogue(["--store", bad], capsys)
+            assert code == 2
+            assert "store url" in captured.err.lower()
+            assert "sqlite:<path>" in captured.err
+        assert not cache.exists()
 
     def test_store_stats_verify_gc(self, tmp_path, capsys):
-        url = f"json:{tmp_path / 'cache'}"
+        url = f"sqlite:{tmp_path / 'store.db'}"
         assert self._catalogue(["--store", url], capsys)[0] == 0
         assert main(["store", "stats", url]) == 0
         out = capsys.readouterr().out
-        assert "entries" in out and "json" in out
+        assert "entries" in out and "sqlite" in out
         assert main(["store", "verify", url]) == 0
         assert "2 entr" in capsys.readouterr().out
         assert main(["store", "gc", url, "--older-than", "0s"]) == 0
@@ -659,7 +657,7 @@ class TestCliStore:
     def test_store_stats_prints_lease_table(self, tmp_path, capsys):
         from repro.store import open_store
 
-        url = f"json:{tmp_path / 'cache'}"
+        url = f"sqlite:{tmp_path / 'store.db'}"
         with open_store(url) as store:
             store.acquire("a" * 64, "worker-1", ttl=300)
             store.acquire("b" * 64, "crashed", ttl=0.0)
@@ -671,7 +669,7 @@ class TestCliStore:
         assert "crashed" in out and "expired" in out
 
     def test_store_stats_no_lease_table_when_idle(self, tmp_path, capsys):
-        url = f"json:{tmp_path / 'cache'}"
+        url = f"sqlite:{tmp_path / 'store.db'}"
         assert self._catalogue(["--store", url], capsys)[0] == 0
         assert main(["store", "stats", url]) == 0
         out = capsys.readouterr().out
@@ -680,31 +678,27 @@ class TestCliStore:
         assert "in-flight leases" not in out
 
     def test_store_verify_reports_tampering(self, tmp_path, capsys):
-        url = f"json:{tmp_path / 'cache'}"
+        from repro.store import open_store
+
+        url = f"sqlite:{tmp_path / 'store.db'}"
         assert self._catalogue(["--store", url], capsys)[0] == 0
-        victim = next((tmp_path / "cache").glob("*.json"))
-        payload = json.loads(victim.read_text())
-        payload["record"]["spec_key"] = "f" * 64
-        victim.write_text(json.dumps(payload, indent=1))
+        with open_store(url) as store:
+            victim, donor = store.keys()
+            # File the donor's record (checksum intact) under the
+            # victim's key: only the spec_key check can catch it.
+            store._connect().execute(
+                "UPDATE records SET (record, sha256) = "
+                "(SELECT record, sha256 FROM records WHERE key = ?) "
+                "WHERE key = ?", (donor, victim))
         capsys.readouterr()
         assert main(["store", "verify", url]) == 1
         assert "spec_key" in capsys.readouterr().err
 
-    def test_store_migrate_then_warm_hits(self, tmp_path, capsys):
-        json_url = f"json:{tmp_path / 'cache'}"
-        sqlite_url = f"sqlite:{tmp_path / 'store.db'}"
-        assert self._catalogue(["--store", json_url], capsys)[0] == 0
-        assert main(["store", "migrate", json_url, sqlite_url]) == 0
-        assert "2 record(s)" in capsys.readouterr().out
-        code, captured = self._catalogue(["--store", sqlite_url], capsys)
-        assert code == 0 and "0 computed" in captured.out
-
     def test_store_commands_require_existing_store(self, tmp_path, capsys):
-        assert main(["store", "stats",
-                     f"json:{tmp_path / 'missing'}"]) == 2
-        assert main(["store", "migrate",
-                     f"sqlite:{tmp_path / 'missing.db'}",
-                     f"json:{tmp_path / 'dst'}"]) == 2
+        missing = f"sqlite:{tmp_path / 'missing.db'}"
+        assert main(["store", "stats", missing]) == 2
+        assert main(["store", "verify", missing]) == 2
+        assert not (tmp_path / "missing.db").exists()
 
     def test_parse_age(self):
         from repro.__main__ import _parse_age
@@ -718,20 +712,20 @@ class TestCliStore:
             with pytest.raises(ValueError):
                 _parse_age(bad)
 
-    def test_run_logs_canonically_identical_across_backends(self, tmp_path,
-                                                            capsys):
+    def test_run_logs_canonically_identical_with_and_without_store(
+            self, tmp_path, capsys):
         # The local twin of the CI store-parity gate: the same campaign
-        # through json: and sqlite: stores must leave byte-identical
-        # canonical run logs (backend provenance is a volatile field).
+        # with and without a sqlite: store must leave byte-identical
+        # canonical run logs (store provenance is a volatile field).
         from repro.obs.telemetry import canonical_run_log_bytes
 
-        json_log = tmp_path / "json.jsonl"
+        plain_log = tmp_path / "plain.jsonl"
         sqlite_log = tmp_path / "sqlite.jsonl"
-        assert self._catalogue(["--store", f"json:{tmp_path / 'cache'}",
-                                "--run-log", str(json_log)], capsys)[0] == 0
+        assert self._catalogue(["--run-log", str(plain_log)],
+                               capsys)[0] == 0
         assert self._catalogue(["--store",
                                 f"sqlite:{tmp_path / 'store.db'}",
                                 "--run-log", str(sqlite_log)],
                                capsys)[0] == 0
-        assert canonical_run_log_bytes(json_log) == \
+        assert canonical_run_log_bytes(plain_log) == \
             canonical_run_log_bytes(sqlite_log)
