@@ -113,48 +113,49 @@ class MetricsCollector:
         obs.inc("metrics.samples")
         world = self.scenario.world
         now = self.scenario.sim.now
-        contacts = world.collisions()
-        for pair in contacts:
-            if pair in self._in_contact:
-                continue
-            self.collision_count += 1
-            if pair not in self.collision_pairs:
-                self.collision_pairs.add(pair)
-                self.scenario.events.record(now, "collision", pair[0], with_=pair[1])
-        self._in_contact = set(contacts)
-        # Safety minima cover *every* vehicle in the world (the joiner
-        # tailgating the platoon included), not just the original roster.
-        for vehicle in world.vehicles():
-            if vehicle.vehicle_id not in self._platoon_ids:
-                self._observe_safety(vehicle, world.predecessor_of(vehicle))
-        for vehicle in self.scenario.platoon_vehicles:
-            trace = self.traces.setdefault(vehicle.vehicle_id, _VehicleTrace())
-            gap = self._observe_safety(vehicle, world.predecessor_of(vehicle))
-            trace.times.append(now)
-            trace.positions.append(vehicle.position)
-            trace.speeds.append(vehicle.speed)
-            trace.accels.append(vehicle.acceleration)
-            trace.jerks.append(vehicle.dynamics.last_jerk)
-            trace.gaps.append(gap)
-            if gap is not None and gap < self.min_gap:
-                self.min_gap = gap
-            error: Optional[float] = None
-            if vehicle.state.role is PlatoonRole.MEMBER and gap is not None:
-                desired = (vehicle.cacc_controller.desired_gap(vehicle.speed)
-                           * vehicle.state.gap_factor)
-                error = gap - desired
-            trace.spacing_errors.append(error)
-            trace.degraded.append(vehicle.degraded)
-            trace.in_platoon.append(vehicle.state.in_platoon)
-            if vehicle.state.gap_factor > 1.0:
-                trace.gap_open_time += self.sample_period
-            # Fuel proxy: drag work + positive acceleration work.
-            v = vehicle.speed
-            drag = drag_factor(gap) if vehicle.state.in_platoon and gap is not None \
-                else 1.0
-            accel_work = max(0.0, vehicle.acceleration) * v
-            trace.fuel += self.sample_period * (2.5e-4 * drag * v ** 2
-                                                + 6.0e-3 * accel_work)
+        with world.frozen():
+            contacts = world.collisions()
+            for pair in contacts:
+                if pair in self._in_contact:
+                    continue
+                self.collision_count += 1
+                if pair not in self.collision_pairs:
+                    self.collision_pairs.add(pair)
+                    self.scenario.events.record(now, "collision", pair[0], with_=pair[1])
+            self._in_contact = set(contacts)
+            # Safety minima cover *every* vehicle in the world (the joiner
+            # tailgating the platoon included), not just the original roster.
+            for vehicle in world.vehicles():
+                if vehicle.vehicle_id not in self._platoon_ids:
+                    self._observe_safety(vehicle, world.predecessor_of(vehicle))
+            for vehicle in self.scenario.platoon_vehicles:
+                trace = self.traces.setdefault(vehicle.vehicle_id, _VehicleTrace())
+                gap = self._observe_safety(vehicle, world.predecessor_of(vehicle))
+                trace.times.append(now)
+                trace.positions.append(vehicle.position)
+                trace.speeds.append(vehicle.speed)
+                trace.accels.append(vehicle.acceleration)
+                trace.jerks.append(vehicle.dynamics.last_jerk)
+                trace.gaps.append(gap)
+                if gap is not None and gap < self.min_gap:
+                    self.min_gap = gap
+                error: Optional[float] = None
+                if vehicle.state.role is PlatoonRole.MEMBER and gap is not None:
+                    desired = (vehicle.cacc_controller.desired_gap(vehicle.speed)
+                               * vehicle.state.gap_factor)
+                    error = gap - desired
+                trace.spacing_errors.append(error)
+                trace.degraded.append(vehicle.degraded)
+                trace.in_platoon.append(vehicle.state.in_platoon)
+                if vehicle.state.gap_factor > 1.0:
+                    trace.gap_open_time += self.sample_period
+                # Fuel proxy: drag work + positive acceleration work.
+                v = vehicle.speed
+                drag = drag_factor(gap) if vehicle.state.in_platoon and gap is not None \
+                    else 1.0
+                accel_work = max(0.0, vehicle.acceleration) * v
+                trace.fuel += self.sample_period * (2.5e-4 * drag * v ** 2
+                                                    + 6.0e-3 * accel_work)
 
     def stop(self) -> None:
         self._proc.stop()

@@ -138,9 +138,9 @@ def _install_lane_change_driver(scenario: "Scenario", hw: HighwayConfig,
     """Scripted round-robin lane changes for background vehicles.
 
     Each tick moves the next background vehicle one lane over, if the
-    target lane has room.  This keeps lane membership dynamic, which is
-    exactly what invalidates the vector kernel's cached predecessor map
-    (see :meth:`repro.platoon.world.World.notify_lane_change`).
+    target lane has room.  This keeps lane membership dynamic, which the
+    world's lane-partitioned predecessor map must follow (see
+    :meth:`repro.platoon.world.World.notify_lane_change`).
     """
     if hw.lane_change_interval <= 0 or hw.lanes < 2 or not background:
         return

@@ -75,8 +75,8 @@ class HighwayConfig:
         Period of the leaders' PLATOON_ANNOUNCE discovery broadcast [s].
     lane_change_interval:
         Period of the scripted background lane-change driver [s];
-        ``0`` disables it.  Lane changes exercise the lane-partitioned
-        predecessor-map invalidation in :class:`repro.platoon.world.World`.
+        ``0`` disables it.  Lane changes keep the lane-partitioned
+        predecessor geometry of :class:`repro.platoon.world.World` moving.
     """
 
     lanes: int = 2

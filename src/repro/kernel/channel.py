@@ -4,9 +4,9 @@
 :class:`~repro.net.channel.RadioChannel` and overrides only the
 stochastic reception path:
 
-* In ``fading_streams="shared"`` mode it inherits the scalar per-receiver
-  loop unchanged -- those draws come from the single simulator RNG in
-  receiver order, so the loop *is* the random stream and cannot be
+* In ``fading_streams="shared"`` mode it inherits the scalar reception
+  pass unchanged -- those draws come from the single simulator RNG in
+  receiver order, so the pass *is* the random stream and cannot be
   reordered.  Shared-mode episodes are therefore trivially bit-identical
   across kernels.
 * In ``fading_streams="pairwise"`` mode each ordered pair owns a
@@ -15,12 +15,9 @@ stochastic reception path:
   single array expressions.  The scalar kernel evaluates the *same*
   numpy expressions one receiver at a time (length-1 arrays); numpy
   ufuncs are shape-consistent, so the two are bit-identical
-  record-for-record (enforced by ``tests/kernel/``).
-
-The class also exposes the deterministic ``(N, N)`` mean gain matrix for
-all registered radios -- the fading-free received power between every
-pair -- used by analysis tooling and property-tested against the scalar
-``mean_received_power_dbm``.
+  record-for-record (enforced by ``tests/kernel/``).  Interference is
+  the scalar channel's own per-receiver sum over one per-frame snapshot
+  of the frames on the air.
 """
 
 from __future__ import annotations
@@ -94,21 +91,14 @@ class VectorRadioChannel(RadioChannel):
 
         noise_mw = self._noise_mw
         interference_mw = None
-        # Same fast path as the scalar kernel's interference_mw_at: with no
-        # jammers and no concurrent frame but the sender's own, every
-        # receiver sees zero interference without any per-receiver calls.
-        active = self._active
-        all_quiet = (not self._interferers
-                     and (not active
-                          or (len(active) == 1 and active[0].sender is sender)))
-        if all_quiet:
+        in_flight = self._in_flight(sender)
+        if in_flight is None:
             sinr_db = rx_power_dbm - self._noise_only_dbm
         else:
             interference_mw = np.empty(attempts)
             denominator_dbm = np.empty(attempts)
-            for j, receiver in enumerate(in_receivers):
-                mw = self.interference_mw_at(float(in_positions[j]),
-                                             exclude=sender)
+            for j in range(attempts):
+                mw = self._interference_mw(float(in_positions[j]), in_flight)
                 interference_mw[j] = mw
                 denominator_dbm[j] = (self._noise_only_dbm if mw == 0.0
                                       else mw_to_dbm(noise_mw + mw))

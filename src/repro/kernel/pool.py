@@ -16,10 +16,6 @@ the first-order-lag factor -- comes from the shared, cached
 :func:`repro.platoon.dynamics.lag_alpha`, so scalar and bulk stepping
 produce bit-identical trajectories.  The differential suite in
 ``tests/kernel/`` enforces this.
-
-The pool also maintains a ``version`` counter, bumped on every state
-write, which :class:`repro.platoon.world.World` uses to cache geometry
-queries (predecessor maps) between control ticks.
 """
 
 from __future__ import annotations
@@ -45,9 +41,6 @@ class KinematicsPool:
     def __init__(self, capacity: int = 16) -> None:
         capacity = max(capacity, 1)
         self._n = 0
-        #: Bumped on every write to any slot's state; geometry caches in
-        #: :class:`~repro.platoon.world.World` key on it.
-        self.version = 0
         self.position = np.zeros(capacity)
         self.speed = np.zeros(capacity)
         self.acceleration = np.zeros(capacity)
@@ -94,7 +87,6 @@ class KinematicsPool:
         self.max_speed[slot] = params.max_speed
         self._params.append(params)
         self._alpha_cache.clear()
-        self.version += 1
         return PooledDynamics(self, slot, params)
 
     def _alphas(self, dt: float) -> _FloatArray:
@@ -150,7 +142,6 @@ class KinematicsPool:
         self.jerk[idx] = (new_accel - old_accel) / dt
         self.speed[idx] = new_speed
         self.acceleration[idx] = new_accel
-        self.version += 1
         if t0 is not None:
             obs.observe("dynamics.step", time.perf_counter() - t0)
 
@@ -158,9 +149,9 @@ class KinematicsPool:
 class _SlotState:
     """Live ``LongitudinalState``-shaped view of one pool slot.
 
-    Mutating attributes writes straight through to the pool arrays (and
-    bumps the pool version), matching how callers mutate the plain
-    dataclass held by the scalar ``VehicleDynamics``.
+    Mutating attributes writes straight through to the pool arrays,
+    matching how callers mutate the plain dataclass held by the scalar
+    ``VehicleDynamics``.
     """
 
     __slots__ = ("_pool", "_slot")
@@ -176,7 +167,6 @@ class _SlotState:
     @position.setter
     def position(self, value: float) -> None:
         self._pool.position[self._slot] = value
-        self._pool.version += 1
 
     @property
     def speed(self) -> float:
@@ -185,7 +175,6 @@ class _SlotState:
     @speed.setter
     def speed(self, value: float) -> None:
         self._pool.speed[self._slot] = value
-        self._pool.version += 1
 
     @property
     def acceleration(self) -> float:
@@ -194,7 +183,6 @@ class _SlotState:
     @acceleration.setter
     def acceleration(self, value: float) -> None:
         self._pool.acceleration[self._slot] = value
-        self._pool.version += 1
 
     def __repr__(self) -> str:
         return (f"_SlotState(position={self.position}, speed={self.speed}, "
@@ -221,7 +209,6 @@ class PooledDynamics:
         pool.position[self.slot] = value.position
         pool.speed[self.slot] = value.speed
         pool.acceleration[self.slot] = value.acceleration
-        pool.version += 1
 
     @property
     def position(self) -> float:

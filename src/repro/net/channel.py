@@ -218,26 +218,40 @@ class RadioChannel:
         Sums registered interferers (jammers) and currently active
         transmissions other than ``exclude``.
         """
+        in_flight = self._in_flight(exclude)
+        if in_flight is None:
+            return 0.0
+        return self._interference_mw(position, in_flight)
+
+    def _in_flight(self, exclude: Optional["Radio"]
+                   ) -> Optional[list[tuple[float, float]]]:
+        """``(position, tx power [dBm])`` of every frame on the air now
+        not sent by ``exclude``, for :meth:`_interference_mw`.
+
+        ``None`` when nothing interferes at all: no jammer is registered
+        and no such frame is on the air.  Nothing moves while one frame is
+        evaluated, so a broadcast takes this once for all its receivers.
+        """
+        self._reap_active(self.sim.now)
+        in_flight = [(tx.sender.position(), tx.power_dbm)
+                     for tx in self._active if tx.sender is not exclude]
+        if not in_flight and not self._interferers:
+            return None
+        return in_flight
+
+    def _interference_mw(self, position: float,
+                         in_flight: list[tuple[float, float]]) -> float:
+        """Interference (mW) at ``position``: every jammer, in
+        registration order, then the frames of :meth:`_in_flight`."""
         now = self.sim.now
-        if not self._interferers:
-            # Fast path for the common case: the only in-flight frame is
-            # the excluded sender's own transmission (or nothing at all).
-            active = self._active
-            if not active:
-                return 0.0
-            if len(active) == 1 and active[0].sender is exclude:
-                return 0.0
         total = 0.0
         for source in self._interferers:
             dbm = source.interference_dbm_at(position, now)
             if dbm > float("-inf"):
                 total += dbm_to_mw(dbm)
-        self._reap_active(now)
-        for tx in self._active:
-            if exclude is not None and tx.sender is exclude:
-                continue
-            distance = abs(tx.sender.position() - position)
-            total += dbm_to_mw(self.mean_received_power_dbm(tx.power_dbm, distance))
+        for sender_position, power_dbm in in_flight:
+            distance = abs(sender_position - position)
+            total += dbm_to_mw(self.mean_received_power_dbm(power_dbm, distance))
         return total
 
     def channel_busy(self, radio: "Radio") -> bool:
@@ -278,38 +292,95 @@ class RadioChannel:
 
         if self.pair_fading is not None:
             self._broadcast_pairwise(sender, msg, duration, power)
-            return
+        else:
+            self._broadcast_shared(sender, msg, duration, power)
 
-        sender_pos = sender.position()
+    def _broadcast_shared(self, sender: "Radio", msg: Message,
+                          duration: float, power: float) -> None:
+        """One reception pass over the receivers, drawing from the
+        simulator RNG.
+
+        Each attempt makes the draws of :meth:`received_power_dbm` and
+        :meth:`_reception_success`, with the same float expressions: a
+        shadowing ``gauss`` when sigma > 0, a Rayleigh ``random`` when
+        Rayleigh fading is on, then the interferer calls, then the
+        success ``random``, even when the probability is 0 or 1.  Those
+        methods stay the specification.  Nothing moves while a frame is
+        evaluated, so the constants, the in-flight frames and the
+        counters are taken or applied once per frame.
+        """
+        cfg = self.config
+        gauss, random = self.sim.rng.gauss, self.sim.rng.random
+        log10, log, exp = math.log10, math.log, math.exp
+        schedule = self.sim.schedule
+        sigma = cfg.shadowing_sigma_db
+        shadowing = sigma > 0
+        rayleigh = cfg.rayleigh_fading
+        reference_loss = cfg.reference_loss_db
+        loss_slope = 10.0 * cfg.path_loss_exponent
+        min_distance = cfg.min_distance_m
+        max_range = cfg.max_range_m
+        steepness = cfg.per_steepness
+        threshold = cfg.sinr_threshold_db
+        propagation_speed = cfg.propagation_speed
         noise_mw = self._noise_mw
+        noise_only_dbm = self._noise_only_dbm
+        jam_floor_mw = noise_mw * 0.1
+        in_flight = self._in_flight(sender)
+        sender_pos = sender.position()
+        out_of_range = attempts = delivered = jammed = lost_noise = 0
         for receiver in self.receivers_in_order():
-            if receiver is sender:
+            if receiver is sender or not receiver.enabled:
                 continue
-            if not receiver.enabled:
+            position = receiver.position()
+            distance = abs(position - sender_pos)
+            if distance > max_range:
+                out_of_range += 1
                 continue
-            distance = abs(receiver.position() - sender_pos)
-            if distance > cfg.max_range_m:
-                self.stats.out_of_range += 1
-                continue
-            self.stats.delivery_attempts += 1
-            rx_power_dbm = self.received_power_dbm(power, distance)
-            interference_mw = self.interference_mw_at(receiver.position(), exclude=sender)
+            attempts += 1
+            fading = 0.0
+            if shadowing:
+                fading += gauss(0.0, sigma)
+            if rayleigh:
+                u = random()
+                if u < 1e-12:
+                    u = 1e-12
+                fading += 10.0 * log10(-log(u))
+            d = min_distance if min_distance > distance else distance
+            rx_power_dbm = power - (reference_loss + loss_slope * log10(d)) + fading
+            interference_mw = (0.0 if in_flight is None
+                               else self._interference_mw(position, in_flight))
             if interference_mw == 0.0:
-                sinr_db = rx_power_dbm - self._noise_only_dbm
+                sinr_db = rx_power_dbm - noise_only_dbm
             else:
                 sinr_db = rx_power_dbm - mw_to_dbm(noise_mw + interference_mw)
-            if self._reception_success(sinr_db):
-                delay = duration + distance / cfg.propagation_speed
-                self.sim.schedule(delay, receiver.deliver, msg)
-                self.stats.delivered += 1
-                obs.inc("frames.delivered")
+            x = steepness * (sinr_db - threshold)
+            if x > 30:
+                p_success = 1.0
+            elif x < -30:
+                p_success = 0.0
             else:
-                if interference_mw > noise_mw * 0.1:
-                    self.stats.lost_interference += 1
-                    obs.inc("frames.jammed")
-                else:
-                    self.stats.lost_noise += 1
-                    obs.inc("frames.lost_noise")
+                p_success = 1.0 / (1.0 + exp(-x))
+            if random() < p_success:
+                schedule(duration + distance / propagation_speed,
+                         receiver.deliver, msg)
+                delivered += 1
+            elif interference_mw > jam_floor_mw:
+                jammed += 1
+            else:
+                lost_noise += 1
+        stats = self.stats
+        stats.out_of_range += out_of_range
+        stats.delivery_attempts += attempts
+        stats.delivered += delivered
+        stats.lost_interference += jammed
+        stats.lost_noise += lost_noise
+        if delivered:
+            obs.inc("frames.delivered", delivered)
+        if jammed:
+            obs.inc("frames.jammed", jammed)
+        if lost_noise:
+            obs.inc("frames.lost_noise", lost_noise)
 
     def _broadcast_pairwise(self, sender: "Radio", msg: Message,
                             duration: float, power: float) -> None:
@@ -326,6 +397,7 @@ class RadioChannel:
 
         cfg = self.config
         assert self.pair_fading is not None
+        in_flight = self._in_flight(sender)
         sender_pos = sender.position()
         noise_mw = self._noise_mw
         for receiver in self.receivers_in_order():
@@ -344,7 +416,8 @@ class RadioChannel:
                                       cfg.path_loss_exponent,
                                       cfg.min_distance_m)
             rx_power_dbm = power - loss + fading_db   # length-1 array
-            interference_mw = self.interference_mw_at(receiver_pos, exclude=sender)
+            interference_mw = (0.0 if in_flight is None
+                               else self._interference_mw(receiver_pos, in_flight))
             if interference_mw == 0.0:
                 sinr_db = rx_power_dbm - self._noise_only_dbm
             else:

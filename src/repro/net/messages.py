@@ -14,6 +14,7 @@ on reception.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, fields
@@ -58,6 +59,11 @@ _msg_seq = itertools.count(1)
 
 def _next_seq() -> int:
     return next(_msg_seq)
+
+
+#: The one encoder behind :meth:`Message.signing_bytes`; ``encode`` gives
+#: exactly ``json.dumps(body, sort_keys=True, default=str)``.
+_SIGNING_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
 def reset_message_seq() -> None:
@@ -113,16 +119,14 @@ class Message:
         and signatures computed over them.
         """
         body: dict[str, Any] = {}
-        for f in fields(self):
-            if f.name in self._ENVELOPE_FIELDS:
-                continue
-            value = getattr(self, f.name)
+        for name in _signed_fields(type(self)):
+            value = getattr(self, name)
             if isinstance(value, enum.Enum):
                 value = value.value
-            body[f.name] = value
+            body[name] = value
         if self.nonce is not None:
             body["nonce"] = self.nonce
-        return json.dumps(body, sort_keys=True, default=str).encode()
+        return _SIGNING_ENCODER.encode(body).encode()
 
     def size_bits(self) -> int:
         """Approximate on-air size, used for airtime computation."""
@@ -142,6 +146,18 @@ class Message:
     def describe(self) -> str:
         return (f"{type(self).__name__}(from={self.sender_id}, t={self.timestamp:.3f}, "
                 f"seq={self.seq})")
+
+
+@functools.cache
+def _signed_fields(cls: type) -> tuple[str, ...]:
+    """Names of ``cls``'s signed fields, in declaration order.
+
+    Worked out once per message class.  The bytes are not cached per
+    message: attacks mutate message copies, payload dicts included, in
+    place.
+    """
+    return tuple(f.name for f in fields(cls)
+                 if f.name not in Message._ENVELOPE_FIELDS)
 
 
 @dataclass
@@ -197,10 +213,6 @@ class KeyDistributionMessage(Message):
 
     def __post_init__(self) -> None:
         self.msg_type = MessageType.KEY_DISTRIBUTION
-
-    def signing_bytes(self) -> bytes:  # bytes field needs hex encoding
-        body = super().signing_bytes()
-        return body
 
 
 def is_beacon(msg: Message) -> bool:

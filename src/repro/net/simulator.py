@@ -34,12 +34,13 @@ class SimulationError(RuntimeError):
 
 @dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, returned by :meth:`Simulator.schedule` as the
+    handle to :meth:`cancel` it.
 
-    Events compare by ``(time, seq)`` which gives a deterministic total
-    order.  The callback and its arguments do not participate in ordering.
-    ``__lt__`` is hand-written (the heap's hottest comparison) instead of
-    dataclass-generated: same order, no tuple construction per call.
+    The simulator's heap holds ``(time, seq, event)`` entries, so events
+    fire in ``(time, seq)`` order -- a deterministic total order, since
+    ``seq`` is unique -- and the heap compares floats and ints in C.  The
+    event itself is never compared.
     """
 
     time: float
@@ -47,11 +48,6 @@ class Event:
     callback: Callable[..., Any]
     args: tuple = ()
     cancelled: bool = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Safe to call multiple times."""
@@ -118,7 +114,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.rng = random.Random(seed)
         self.seed = seed
@@ -145,8 +141,9 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f} before now={self._now:.6f}")
-        event = Event(time=time, seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time=time, seq=seq, callback=callback, args=args)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def every(self, interval: float, callback: Callable[[], Any],
@@ -169,9 +166,10 @@ class Simulator:
         processed_before = self._events_processed
         wall_start = time.perf_counter()
         profiling = obs.profiling_enabled()
+        queue = self._queue
         try:
-            while self._queue and self._queue[0].time <= t_end:
-                event = heapq.heappop(self._queue)
+            while queue and queue[0][0] <= t_end:
+                event = heapq.heappop(queue)[2]
                 if event.cancelled:
                     continue
                 self._now = event.time
@@ -196,4 +194,4 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of queued (possibly cancelled) events; useful in tests."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)

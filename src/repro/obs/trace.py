@@ -105,8 +105,9 @@ class TraceRecorder:
                     platoon_ids.add(vehicle.state.platoon_id)
         fragments = len(platoon_ids)
         leader = scenario.leader
-        gaps = [scenario.world.true_gap(v)
-                for v in scenario.platoon_vehicles[1:]]
+        with scenario.world.frozen():
+            gaps = [scenario.world.true_gap(v)
+                    for v in scenario.platoon_vehicles[1:]]
         gaps = [g for g in gaps if g is not None]
         self._samples.append({
             "t": now,

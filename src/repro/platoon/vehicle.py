@@ -258,8 +258,9 @@ class Vehicle:
 
         The longitudinal substrate has no lateral dynamics, so a lane
         change is a discrete event: the lane index flips and the world is
-        told so cached lane-partitioned geometry (the vector kernel's
-        predecessor map) is invalidated before the next sensor read.
+        told, so a lane-partitioned predecessor map built in the current
+        :meth:`~repro.platoon.world.World.frozen` scope is rebuilt before
+        the next sensor read.
         """
         if lane == self.lane:
             return

@@ -11,7 +11,8 @@ between *claimed* and *physical* reality (ghost vehicles, spoofed GPS).
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Iterable, Optional
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
     from repro.kernel.pool import KinematicsPool
@@ -32,8 +33,12 @@ class World:
     kernel), phase 1 *plans* each command (law + inputs, same per-vehicle
     order, so sensor RNG draws are untouched), the laws are evaluated in
     one batch, and phase 2 steps all pooled vehicles with a single bulk
-    array update.  Geometry queries (predecessor maps) are then cached
-    between pool versions, since positions only move when the pool steps.
+    array update.
+
+    Nothing moves while phase 1 runs, nor while a metrics or trace sample
+    is taken, so those callers enter :meth:`frozen`, and within it every
+    predecessor query shares one map built on first use.  Under either
+    kernel, outside such a scope a query is the linear scan.
     """
 
     def __init__(self) -> None:
@@ -42,19 +47,17 @@ class World:
         self.control_period: Optional[float] = None
         self._pool: Optional["KinematicsPool"] = None
         self._membership_version = 0
-        self._all_pooled_cache: Optional[tuple[int, bool]] = None
-        self._pred_cache: Optional[tuple[tuple[int, int], dict]] = None
+        self._frozen = False
+        self._pred_cache: Optional[tuple[int, dict]] = None
 
     def attach_pool(self, pool: "KinematicsPool") -> None:
         """Switch this world to the vectorized control tick.
 
         Must be attached before (or while) vehicles whose dynamics live
         in ``pool`` are added; vehicles with non-pooled dynamics still
-        work but disable geometry caching.
+        work and step one by one.
         """
         self._pool = pool
-        self._all_pooled_cache = None
-        self._pred_cache = None
 
     def add(self, vehicle: "Vehicle") -> None:
         if vehicle.vehicle_id in self._vehicles:
@@ -79,8 +82,9 @@ class World:
             return
         # Phase 1: everyone senses and decides against frozen state.
         decisions: list[tuple["Vehicle", float]] = []
-        for vehicle in list(self._vehicles.values()):
-            decisions.append((vehicle, vehicle.control_decide()))
+        with self.frozen():
+            for vehicle in list(self._vehicles.values()):
+                decisions.append((vehicle, vehicle.control_decide()))
         # Phase 2: everyone moves.
         for vehicle, command in decisions:
             if vehicle.vehicle_id in self._vehicles:  # not removed mid-tick
@@ -92,7 +96,8 @@ class World:
         # Phase 1: same per-vehicle order as the scalar tick (sensor RNG
         # draws depend on it), but commands stay unevaluated plans.
         vehicles = list(self._vehicles.values())
-        plans = [(vehicle, vehicle.control_plan()) for vehicle in vehicles]
+        with self.frozen():
+            plans = [(vehicle, vehicle.control_plan()) for vehicle in vehicles]
         commands = evaluate_commands([plan for _, plan in plans])
         # Phase 2: pooled vehicles step as one bulk array update; any
         # non-pooled stragglers keep the scalar path.
@@ -124,12 +129,11 @@ class World:
             self._membership_version += 1
 
     def notify_lane_change(self, vehicle: "Vehicle") -> None:
-        """Invalidate lane-derived geometry caches after a lane change.
+        """Invalidate the predecessor map after a lane change.
 
-        The cached predecessor map partitions vehicles by lane, so a lane
-        change moves a vehicle between partitions without the pool version
-        changing.  :meth:`repro.platoon.vehicle.Vehicle.change_lane` calls
-        this so the next geometry query rebuilds the map.
+        The map partitions vehicles by lane, so a lane change inside a
+        :meth:`frozen` scope must rebuild it.
+        :meth:`repro.platoon.vehicle.Vehicle.change_lane` calls this.
         """
         if vehicle.vehicle_id in self._vehicles:
             self._membership_version += 1
@@ -151,35 +155,29 @@ class World:
 
     # ------------------------------------------------------- geometry queries
 
-    def _all_pooled(self) -> bool:
-        cached = self._all_pooled_cache
+    @contextmanager
+    def frozen(self) -> Iterator[None]:
+        """Scope in which no vehicle moves.
+
+        Inside it, the first :meth:`predecessor_of` builds a map of every
+        vehicle's predecessor and later queries reuse it; an
+        :meth:`add`, :meth:`remove` or lane change inside the scope
+        rebuilds it.  A position write inside the scope is a caller bug
+        the map would not see.  Scopes do not nest.
+        """
+        self._frozen = True
+        try:
+            yield
+        finally:
+            self._frozen = False
+            self._pred_cache = None
+
+    def _predecessor_map(self) -> dict[str, Optional["Vehicle"]]:
+        """``vehicle_id -> predecessor`` for the current :meth:`frozen`
+        scope, rebuilt when membership or a lane changes."""
+        cached = self._pred_cache
         if cached is not None and cached[0] == self._membership_version:
             return cached[1]
-        ok = all(getattr(v.dynamics, "pool", None) is self._pool
-                 for v in self._vehicles.values())
-        self._all_pooled_cache = (self._membership_version, ok)
-        return ok
-
-    def _predecessor_map(self) -> Optional[dict]:
-        """Cached ``vehicle_id -> predecessor`` map (vector kernel only).
-
-        Valid while membership and the pool version are unchanged --
-        pooled positions only move through the pool, which bumps its
-        version on every write.  Any non-pooled vehicle (whose position
-        can change without a version bump) disables the cache.  Lane
-        changes move a vehicle between lane partitions without touching
-        the pool, so :meth:`notify_lane_change` bumps the membership
-        version to invalidate this cache (``Vehicle.change_lane`` calls
-        it on every lane switch).
-        """
-        if self._pool is None:
-            return None
-        key = (self._membership_version, self._pool.version)
-        cached = self._pred_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        if not self._all_pooled():
-            return None
         by_lane: dict[int, list[tuple[float, int, "Vehicle"]]] = {}
         for order, vehicle in enumerate(self._vehicles.values()):
             by_lane.setdefault(vehicle.lane, []).append(
@@ -189,22 +187,26 @@ class World:
             # Sorting by (position, insertion order) reproduces the linear
             # scan's tie-break exactly: the predecessor is the earliest-
             # registered vehicle among those at the smallest position
-            # strictly ahead.
-            entries.sort(key=lambda item: (item[0], item[1]))
+            # strictly ahead.  Insertion order is unique, so the sort
+            # never compares vehicles.
+            entries.sort()
             positions = [item[0] for item in entries]
-            for i, (position, _, vehicle) in enumerate(entries):
+            for position, _, vehicle in entries:
                 j = bisect.bisect_right(positions, position)
                 pred_map[vehicle.vehicle_id] = (entries[j][2]
                                                 if j < len(entries) else None)
-        self._pred_cache = (key, pred_map)
+        self._pred_cache = (self._membership_version, pred_map)
         return pred_map
 
     def predecessor_of(self, vehicle: "Vehicle") -> Optional["Vehicle"]:
-        """Nearest vehicle physically ahead in the same lane, or None."""
-        pred_map = self._predecessor_map()
-        if (pred_map is not None
+        """Nearest vehicle physically ahead in the same lane, or None.
+
+        The linear scan below is the definition; inside a :meth:`frozen`
+        scope the shared map gives the same answer.
+        """
+        if (self._frozen
                 and self._vehicles.get(vehicle.vehicle_id) is vehicle):
-            return pred_map[vehicle.vehicle_id]
+            return self._predecessor_map()[vehicle.vehicle_id]
         best: Optional["Vehicle"] = None
         for other in self._vehicles.values():
             if other is vehicle or other.lane != vehicle.lane:

@@ -1,6 +1,11 @@
 """Unit tests for message types and the canonical signing encoding."""
 
+import dataclasses
+import enum
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.messages import (
     Beacon,
@@ -54,6 +59,77 @@ class TestSigningBytes:
         baseline = msg.signing_bytes()
         msg.payload["k"] = "v"
         assert msg.signing_bytes() != baseline
+
+
+def composed_signing_bytes(msg: Message) -> bytes:
+    """The signing encoding composed from scratch on every call: a fresh
+    field walk and ``json.dumps``.  ``Message.signing_bytes`` must match it
+    byte for byte."""
+    body = {}
+    for f in dataclasses.fields(msg):
+        if f.name in Message._ENVELOPE_FIELDS:
+            continue
+        value = getattr(msg, f.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        body[f.name] = value
+    if msg.nonce is not None:
+        body["nonce"] = msg.nonce
+    return json.dumps(body, sort_keys=True, default=str).encode()
+
+
+_text = st.text(max_size=8)
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | _text | st.binary(max_size=8)
+            | st.sampled_from(ManeuverType) | st.sampled_from(MessageType))
+_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_text, inner, max_size=3)),
+    max_leaves=8)
+_envelope = dict(payload=st.dictionaries(_text, _values, max_size=4),
+                 nonce=st.none() | st.integers(min_value=0),
+                 auth_tag=st.none() | st.binary(max_size=8),
+                 vlc_copy=st.booleans())
+_optional_text = st.none() | _text
+
+_messages = (
+    st.builds(Beacon, sender_id=_text, timestamp=st.floats(),
+              seq=st.integers(), position=st.floats(), speed=st.floats(),
+              lane=st.integers(), platoon_id=_optional_text,
+              platoon_index=st.none() | st.integers(),
+              is_leader=st.booleans(), **_envelope)
+    | st.builds(ManeuverMessage, sender_id=_text, timestamp=st.floats(),
+                seq=st.integers(), maneuver=st.sampled_from(ManeuverType),
+                platoon_id=_optional_text, target_id=_optional_text,
+                gap_size=st.floats(), split_index=st.none() | st.integers(),
+                speed=st.none() | st.floats(), **_envelope)
+    | st.builds(KeyDistributionMessage, sender_id=_text,
+                timestamp=st.floats(), seq=st.integers(),
+                key_id=_optional_text,
+                encrypted_key=st.none() | st.binary(max_size=16),
+                revoked_ids=st.lists(_text, max_size=3).map(tuple),
+                recipient_id=_optional_text, **_envelope)
+    | st.builds(Message, sender_id=_text, timestamp=st.floats(),
+                seq=st.integers(), msg_type=st.sampled_from(MessageType),
+                **_envelope))
+
+
+class TestSigningBytesEncoding:
+    @given(msg=_messages)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_composed_encoding(self, msg):
+        assert msg.signing_bytes() == composed_signing_bytes(msg)
+
+    @given(msg=_messages, key=_text, value=_values)
+    @settings(max_examples=100, deadline=None)
+    def test_in_place_payload_mutation_is_seen(self, msg, key, value):
+        """Attacks mutate copies in place; nothing may be memoised."""
+        msg.signing_bytes()
+        msg.payload[key] = value
+        msg.nonce = 7 if msg.nonce is None else None
+        assert msg.signing_bytes() == composed_signing_bytes(msg)
 
 
 class TestCopy:
