@@ -12,7 +12,8 @@ results either way, thanks to per-experiment seed derivation).
 
 With ``--spec FILE`` the campaign instead runs one declarative
 ``platoonsec-experiment/1`` spec (see ``examples/specs/``) against the
-same freight platoon -- new experiments are JSON, not code.
+same freight platoon, on the same engine -- new experiments are JSON,
+not code.
 
 Usage::
 
@@ -30,10 +31,11 @@ from repro.core.experiment import load_experiment_spec
 from repro.core.runner import CampaignRunner
 
 
-def run_spec(spec_path: str, config: ScenarioConfig) -> None:
+def run_spec(spec_path: str, config: ScenarioConfig,
+             runner: CampaignRunner) -> None:
     """Run one declarative experiment spec against the freight platoon."""
     spec = load_experiment_spec(spec_path)
-    run = run_experiment_spec(spec, config)
+    run = run_experiment_spec(spec, config, runner=runner)
     outcome = run.outcome
     row = [spec.display_name, outcome.metric_name,
            round(outcome.baseline_value, 3),
@@ -47,6 +49,7 @@ def run_spec(spec_path: str, config: ScenarioConfig) -> None:
         [row], title=f"declarative experiment ({spec_path})"))
     for key, value in sorted(outcome.attack_observables.items()):
         print(f"  {key} = {value}")
+    print(f"\n{runner.report().summary()}")
 
 
 def main() -> None:
@@ -68,8 +71,9 @@ def main() -> None:
         duration=60.0 if args.quick else 100.0,
         warmup=10.0, seed=42)
 
+    runner = CampaignRunner(workers=args.workers, store=args.store)
     if args.spec is not None:
-        run_spec(args.spec, config)
+        run_spec(args.spec, config, runner)
         return
 
     print(f"running {len(taxonomy.THREATS)} attack experiments "
@@ -77,7 +81,6 @@ def main() -> None:
           f"{config.initial_speed * 3.6:.0f} km/h, "
           f"workers={args.workers})...\n")
 
-    runner = CampaignRunner(workers=args.workers, store=args.store)
     outcomes = run_threat_catalogue(config, runner=runner)
 
     rows = []

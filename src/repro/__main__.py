@@ -2,9 +2,6 @@
 
 Commands
 --------
-``attack <threat> [options]``
-    Run one canonical Table II attack experiment (baseline vs attacked)
-    and print the outcome.
 ``catalogue``
     Run the full Table II campaign.
 ``highway``
@@ -13,15 +10,6 @@ Commands
     baseline vs attacked, with per-cell impact ratios.
 ``matrix [mechanism]``
     Run the Table III defence matrix (optionally one mechanism row).
-
-The campaign commands (``catalogue``, ``matrix``) execute through the
-campaign engine: ``--workers N`` fans episodes over a process pool,
-``--store sqlite:<path>`` persists/reuses episode results across
-invocations and concurrent processes in one sqlite database,
-``--trace-dir DIR`` streams one schema-versioned JSONL trace per
-computed unit (named by content hash), ``--profile`` enables profiling
-spans and prints the aggregated counters/timers, and ``--report``
-prints the per-unit cache/timing breakdown.
 ``experiment <specfile.json|threat[/variant]>``
     Run one declarative ``platoonsec-experiment/1`` spec (baseline vs
     attacked, plus a defended episode when the spec declares defences).
@@ -64,9 +52,19 @@ prints the per-unit cache/timing breakdown.
 ``risk``
     Print the platoon TARA risk report.
 
+Every command that runs episodes (``catalogue``, ``highway``,
+``matrix``, ``experiment``, ``sweep``, ``falsify``, ``report``) executes
+through the campaign engine: ``--workers N`` fans episodes over a
+process pool, ``--store sqlite:<path>`` persists/reuses episode results
+across invocations and concurrent processes in one sqlite database,
+``--trace-dir DIR`` streams one schema-versioned JSONL trace per
+computed unit (named by content hash), ``--profile`` enables profiling
+spans and prints the aggregated counters/timers, and ``--report``
+prints the per-unit cache/timing breakdown.
+
 Run telemetry
 -------------
-The campaign commands accept ``--run-log PATH`` (stream one JSON event
+The engine commands accept ``--run-log PATH`` (stream one JSON event
 line per run/unit/phase transition; with a store configured it defaults
 to ``run-log.jsonl`` next to the store's database) and
 ``--progress`` (force the live stderr progress line, which otherwise
@@ -83,12 +81,7 @@ import sys
 from repro import obs
 from repro.analysis.tables import format_table
 from repro.core import taxonomy
-from repro.core.campaign import (
-    run_defense_matrix,
-    run_threat_catalogue,
-    run_threat_experiment,
-    threat_experiment,
-)
+from repro.core.campaign import run_defense_matrix, run_threat_catalogue
 from repro.core.runner import CampaignRunner
 from repro.core.scenario import ScenarioConfig
 
@@ -199,6 +192,18 @@ def _matrix_metrics(cells) -> dict:
     return metrics
 
 
+def _experiment_metrics(run) -> dict:
+    """Flat headline metrics for one experiment spec (its catalogue-style
+    row, plus the defended value and mitigation when it has defences)."""
+    metrics = _catalogue_metrics([run.outcome])
+    if run.defended_value is not None:
+        prefix = f"{run.outcome.threat_key}/{run.outcome.variant}"
+        metrics[f"{prefix}.defended"] = run.defended_value
+        if run.mitigation is not None:
+            metrics[f"{prefix}.mitigation"] = run.mitigation
+    return metrics
+
+
 def _sweep_metrics(result) -> dict:
     """Flat headline metrics for a sweep (per-point attacked mean and
     effect rate)."""
@@ -207,6 +212,14 @@ def _sweep_metrics(result) -> dict:
         metrics[f"{point.label}.attacked_mean"] = point.attacked["mean"]
         metrics[f"{point.label}.effect_rate"] = point.effect_rate
     return metrics
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_only(only) -> list | None:
@@ -230,23 +243,6 @@ def _print_listing(headers, rows, title) -> int:
     return 0
 
 
-def cmd_attack(args) -> int:
-    experiment = threat_experiment(args.threat, _base_config(args),
-                                   variant=args.variant)
-    outcome = run_threat_experiment(experiment)
-    print(format_table(
-        ["threat", "variant", "metric", "baseline", "attacked", "effect"],
-        [[outcome.threat_key, outcome.variant, outcome.metric_name,
-          round(outcome.baseline_value, 3), round(outcome.attacked_value, 3),
-          "CONFIRMED" if outcome.effect_present else "no effect"]]))
-    for key, value in sorted(outcome.attack_observables.items()):
-        print(f"  {key} = {value}")
-    if args.profile:
-        print(obs.format_snapshot(obs.get_registry().snapshot(),
-                                  title="episode observability"))
-    return 0 if outcome.effect_present else 1
-
-
 def _pm(value: float, std: float, replicates: int, digits: int = 3) -> str:
     """``mean±std`` when replicated, plain value otherwise."""
     if replicates > 1:
@@ -254,16 +250,52 @@ def _pm(value: float, std: float, replicates: int, digits: int = 3) -> str:
     return str(round(value, digits))
 
 
-def _catalogue_label(only) -> str:
-    return f"catalogue[{only}]" if only else "catalogue"
+def _replicates(args) -> int:
+    """``--seed-replicates`` for the campaign commands (one by default;
+    sweeps default to their spec's count instead)."""
+    return 1 if args.seed_replicates is None else args.seed_replicates
 
 
-def cmd_catalogue(args) -> int:
+def _run_catalogue(args):
+    """Run ``catalogue [--only]`` on the engine the flags select:
+    ``(runner, outcomes, bench label, bench metrics)``."""
     threats = _parse_only(args.only)
     runner = _make_runner(args)
     outcomes = run_threat_catalogue(_base_config(args), threats=threats,
-                                    seed_replicates=args.seed_replicates or 1,
+                                    seed_replicates=_replicates(args),
                                     runner=runner)
+    label = f"catalogue[{args.only}]" if args.only else "catalogue"
+    return runner, outcomes, label, _catalogue_metrics(outcomes)
+
+
+def _run_matrix(args, mechanism):
+    """Run ``matrix [mechanism]``: ``(runner, cells, label, metrics)``."""
+    if mechanism is not None and mechanism not in taxonomy.MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}; expected "
+                         f"from {sorted(taxonomy.MECHANISMS)}")
+    runner = _make_runner(args)
+    cells = run_defense_matrix(
+        _base_config(args), mechanisms=[mechanism] if mechanism else None,
+        seed_replicates=_replicates(args), runner=runner)
+    label = f"matrix[{mechanism}]" if mechanism else "matrix"
+    return runner, cells, label, _matrix_metrics(cells)
+
+
+def _run_sweep(args, target):
+    """Run ``sweep <spec|preset>``: ``(runner, result, label, metrics)``."""
+    from repro.sweep import SweepEngine
+
+    if target is None:
+        raise ValueError("sweep needs a spec file or preset name "
+                         "(see 'sweep --list-presets')")
+    spec = _resolve_sweep_spec(target, args)
+    runner = _make_runner(args)
+    result = SweepEngine(runner=runner).run(spec)
+    return runner, result, f"sweep[{spec.name}]", _sweep_metrics(result)
+
+
+def cmd_catalogue(args) -> int:
+    runner, outcomes, label, metrics = _run_catalogue(args)
     rows = [[o.threat_key, o.variant, o.metric_name,
              _pm(o.baseline_value, o.baseline_std, o.replicates),
              _pm(o.attacked_value, o.attacked_std, o.replicates),
@@ -273,18 +305,17 @@ def cmd_catalogue(args) -> int:
                         "attacked", "effect"], rows,
                        title="Table II campaign"))
     _print_report(runner, args)
-    _append_bench_history(args, _catalogue_label(args.only), runner,
-                          _catalogue_metrics(outcomes))
+    _append_bench_history(args, label, runner, metrics)
     return 0 if all(o.effect_present for o in outcomes) else 1
 
 
 def cmd_highway(args) -> int:
-    from repro.core.campaign import run_highway_catalogue
+    from repro.core.campaign import highway_variants
 
     runner = _make_runner(args)
-    outcomes = run_highway_catalogue(_base_config(args),
-                                     seed_replicates=args.seed_replicates or 1,
-                                     runner=runner)
+    outcomes = run_threat_catalogue(_base_config(args), highway_variants(),
+                                    seed_replicates=_replicates(args),
+                                    runner=runner)
     rows = [[o.threat_key, o.variant, o.metric_name,
              _pm(o.baseline_value, o.baseline_std, o.replicates),
              _pm(o.attacked_value, o.attacked_std, o.replicates),
@@ -311,11 +342,7 @@ def cmd_highway(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    runner = _make_runner(args)
-    mechanisms = [args.mechanism] if args.mechanism else None
-    cells = run_defense_matrix(_base_config(args), mechanisms=mechanisms,
-                               seed_replicates=args.seed_replicates or 1,
-                               runner=runner)
+    runner, cells, label, metrics = _run_matrix(args, args.mechanism)
     rows = [[c.mechanism_key, c.threat_key, c.metric_name,
              _pm(c.baseline_value, c.baseline_std, c.replicates),
              _pm(c.attacked_value, c.attacked_std, c.replicates),
@@ -326,9 +353,7 @@ def cmd_matrix(args) -> int:
                         "attacked", "defended", "mitigation"], rows,
                        title="Table III defence matrix"))
     _print_report(runner, args)
-    _append_bench_history(
-        args, f"matrix[{args.mechanism}]" if args.mechanism else "matrix",
-        runner, _matrix_metrics(cells))
+    _append_bench_history(args, label, runner, metrics)
     return 0
 
 
@@ -338,7 +363,8 @@ def cmd_experiment(args) -> int:
     spec = _resolve_experiment_spec(args.spec)
     if spec is None:
         return 2
-    run = run_experiment_spec(spec, _base_config(args))
+    runner = _make_runner(args)
+    run = run_experiment_spec(spec, _base_config(args), runner=runner)
     outcome = run.outcome
     headers = ["experiment", "metric", "baseline", "attacked"]
     row = [spec.display_name, outcome.metric_name,
@@ -355,9 +381,9 @@ def cmd_experiment(args) -> int:
                              f"({spec.threat}/{spec.variant})"))
     for key, value in sorted(outcome.attack_observables.items()):
         print(f"  {key} = {value}")
-    if args.profile:
-        print(obs.format_snapshot(obs.get_registry().snapshot(),
-                                  title="episode observability"))
+    _print_report(runner, args)
+    _append_bench_history(args, f"experiment[{spec.display_name}]", runner,
+                          _experiment_metrics(run))
     return 0 if outcome.effect_present else 1
 
 
@@ -508,7 +534,7 @@ def _resolve_sweep_spec(spec_arg: str, args):
 
 
 def cmd_sweep(args) -> int:
-    from repro.sweep import PRESETS, SweepEngine
+    from repro.sweep import PRESETS
     from repro.sweep.artifacts import write_sweep_artifacts
 
     if args.list_presets:
@@ -519,13 +545,8 @@ def cmd_sweep(args) -> int:
               spec.seed_replicates]
              for spec in PRESETS.values()],
             "shipped sweep presets")
-    if args.spec is None:
-        print("error: sweep needs a spec file or preset name "
-              "(see 'sweep --list-presets')", file=sys.stderr)
-        return 2
-    spec = _resolve_sweep_spec(args.spec, args)
-    engine = SweepEngine(runner=_make_runner(args))
-    result = engine.run(spec)
+    runner, result, label, metrics = _run_sweep(args, args.spec)
+    spec = result.spec
     rows = []
     for point in result.points:
         rows.append([
@@ -553,9 +574,8 @@ def cmd_sweep(args) -> int:
     if args.out_dir is not None:
         paths = write_sweep_artifacts(result, args.out_dir)
         print(f"artifacts: {paths['json']} {paths['csv']}")
-    _print_report(engine.runner, args)
-    _append_bench_history(args, f"sweep[{spec.name}]", engine.runner,
-                          _sweep_metrics(result))
+    _print_report(runner, args)
+    _append_bench_history(args, label, runner, metrics)
     return 0
 
 
@@ -802,43 +822,20 @@ def cmd_bench_compare(args) -> int:
 def cmd_report(args) -> int:
     from repro.obs.report import campaign_report, sweep_report, write_report
 
-    runner = _make_runner(args)
-    replicates = args.seed_replicates or 1
     if args.what == "catalogue":
-        threats = _parse_only(args.only)
-        outcomes = run_threat_catalogue(_base_config(args), threats=threats,
-                                        seed_replicates=replicates,
-                                        runner=runner)
+        runner, outcomes, label, metrics = _run_catalogue(args)
         document = campaign_report(
             "Table II campaign", outcomes=outcomes,
             run_report=runner.report(), trace_dir=args.trace_dir)
-        label, metrics = (_catalogue_label(args.only),
-                          _catalogue_metrics(outcomes))
     elif args.what == "matrix":
-        if args.target is not None \
-                and args.target not in taxonomy.MECHANISMS:
-            raise ValueError(f"unknown mechanism {args.target!r}; expected "
-                             f"from {sorted(taxonomy.MECHANISMS)}")
-        cells = run_defense_matrix(
-            _base_config(args),
-            mechanisms=[args.target] if args.target else None,
-            seed_replicates=replicates, runner=runner)
+        runner, cells, label, metrics = _run_matrix(args, args.target)
         document = campaign_report(
             "Table III defence matrix", cells=cells,
             run_report=runner.report(), trace_dir=args.trace_dir)
-        label = f"matrix[{args.target}]" if args.target else "matrix"
-        metrics = _matrix_metrics(cells)
     else:                                                   # sweep
-        from repro.sweep import SweepEngine
-
-        if args.target is None:
-            raise ValueError("report sweep needs a spec file or preset "
-                             "name (see 'sweep --list-presets')")
-        spec = _resolve_sweep_spec(args.target, args)
-        result = SweepEngine(runner=runner).run(spec)
+        runner, result, label, metrics = _run_sweep(args, args.target)
         document = sweep_report(result, run_report=runner.report(),
                                 trace_dir=args.trace_dir)
-        label, metrics = f"sweep[{spec.name}]", _sweep_metrics(result)
     if runner.telemetry is not None:
         runner.telemetry.close()
     path = write_report(args.out, document)
@@ -877,7 +874,8 @@ def main(argv=None) -> int:
                              "aggregated counters/timers")
     parser.add_argument("--report", action="store_true",
                         help="print the per-unit campaign report")
-    parser.add_argument("--seed-replicates", type=int, default=None,
+    parser.add_argument("--seed-replicates", type=_positive_int,
+                        default=None,
                         help="run every campaign unit / sweep point at N "
                              "derived seeds and report mean±std")
     parser.add_argument("--run-log", default=None,
@@ -893,11 +891,6 @@ def main(argv=None) -> int:
                              "campaign/sweep run to this JSONL history "
                              "file (see bench-compare)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_attack = sub.add_parser("attack", help="run one Table II experiment")
-    p_attack.add_argument("threat", choices=sorted(taxonomy.THREATS))
-    p_attack.add_argument("--variant", default=None)
-    p_attack.set_defaults(fn=cmd_attack)
 
     p_cat = sub.add_parser("catalogue", help="run the full Table II campaign")
     p_cat.add_argument("--only", default=None,

@@ -1,11 +1,5 @@
-"""Reporting helpers: ASCII tables and experiment-record persistence."""
+"""Reporting helpers: ASCII tables and trace diffs."""
 
 from repro.analysis.tables import format_table, format_kv
-from repro.analysis.results import (
-    diff_catalogues,
-    load_records,
-    save_records,
-)
 
-__all__ = ["format_table", "format_kv", "save_records", "load_records",
-           "diff_catalogues"]
+__all__ = ["format_table", "format_kv"]

@@ -39,11 +39,7 @@ from typing import Callable, Optional, Union
 
 from repro.core import taxonomy
 from repro.core.registry import REGISTRY, metric_direction, register_hook, register_metric
-from repro.core.scenario import (
-    ScenarioConfig,
-    ScenarioResult,
-    gap_cycle_hook,
-)
+from repro.core.scenario import ScenarioConfig, gap_cycle_hook
 
 # Populate the registry: the suites register themselves on import.
 import repro.core.attacks     # noqa: F401  (registration side effect)
@@ -70,26 +66,10 @@ class ThreatExperiment:
     config: ScenarioConfig
     make_attacks: Callable[[], list]
     hooks: tuple = ()
-    # headline metric: (name, extractor(result) -> float, lower_is_better)
+    # Headline metric, read off episode records by
+    # EpisodeRecord.extract_metric, and its direction.
     metric_name: str = "mean_abs_spacing_error"
     lower_is_better: bool = True
-
-    def extract_metric(self, result: ScenarioResult) -> float:
-        return _extract(result, self.metric_name)
-
-
-def _extract(result: ScenarioResult, name: str) -> float:
-    metrics = result.metrics
-    if hasattr(metrics, name):
-        value = getattr(metrics, name)
-        return float(value) if value is not None else 0.0
-    for report in result.attack_reports:
-        if name in report.observables:
-            value = report.observables[name]
-            if isinstance(value, bool):
-                return 1.0 if value else 0.0
-            return float(value) if value is not None else 0.0
-    return 0.0
 
 
 # --------------------------------------------------------------------------

@@ -257,8 +257,8 @@ class EpisodeRecord:
     detection: dict = field(default_factory=dict)
 
     def extract_metric(self, name: str) -> float:
-        """Headline-metric lookup mirroring ``campaign._extract``:
-        metric fields first, then attack observables, else 0.0."""
+        """Headline-metric lookup: metric fields first, then attack
+        observables (booleans as 0/1), else 0.0."""
         if name in self.metrics:
             value = self.metrics[name]
             return float(value) if value is not None else 0.0

@@ -86,12 +86,18 @@ class ScenarioConfig:
     kernel: str = "scalar"
 
     def __post_init__(self) -> None:
-        # Experiment specs, sweeps and JSON files supply the highway
-        # layout as a plain dict; coerce it so every construction path
-        # (with_overrides, dataclasses.replace, direct kwargs) yields a
-        # typed HighwayConfig.
+        # Experiment specs, sweeps and JSON files supply the nested
+        # configs as plain dicts and the RSU positions as a list; coerce
+        # them so every construction path (with_overrides,
+        # dataclasses.replace, direct kwargs) yields the typed config.
+        if isinstance(self.channel, dict):
+            self.channel = ChannelConfig(**self.channel)
+        if isinstance(self.vehicle, dict):
+            self.vehicle = VehicleConfig(**self.vehicle)
         if isinstance(self.highway, dict):
             self.highway = HighwayConfig(**self.highway)
+        if isinstance(self.rsu_positions, list):
+            self.rsu_positions = tuple(self.rsu_positions)
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)

@@ -32,9 +32,7 @@ from typing import Optional, Union
 from repro.core.experiment import ExperimentSpec, load_experiment_spec
 from repro.core.scenario import ScenarioConfig, run_episode
 from repro.falsify.objective import SafetyVerdict, assess
-from repro.net.channel import ChannelConfig
 from repro.obs.trace import trace_body_bytes
-from repro.platoon.vehicle import VehicleConfig
 
 #: Manifest format tag; bump on incompatible schema changes.
 CORPUS_FORMAT = "platoonsec-counterexample/1"
@@ -56,18 +54,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     overrides it per leg.
     """
     return json.loads(json.dumps(dataclasses.asdict(config)))
-
-
-def config_from_dict(data: dict) -> ScenarioConfig:
-    """Rebuild a scenario config from :func:`config_to_dict` output."""
-    overrides = dict(data)
-    if isinstance(overrides.get("channel"), dict):
-        overrides["channel"] = ChannelConfig(**overrides["channel"])
-    if isinstance(overrides.get("vehicle"), dict):
-        overrides["vehicle"] = VehicleConfig(**overrides["vehicle"])
-    if isinstance(overrides.get("rsu_positions"), list):
-        overrides["rsu_positions"] = tuple(overrides["rsu_positions"])
-    return ScenarioConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -93,7 +79,7 @@ class CorpusEntry:
         return load_experiment_spec(self.spec_path)
 
     def load_config(self) -> ScenarioConfig:
-        return config_from_dict(self.manifest["config"])
+        return ScenarioConfig(**self.manifest["config"])
 
 
 @dataclass

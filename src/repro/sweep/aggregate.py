@@ -44,6 +44,15 @@ def summary_stats(values: Sequence[float]) -> dict:
             "min": min(vals), "max": max(vals)}
 
 
+def effect_present(lower_is_better: bool, baseline: float,
+                   attacked: float) -> bool:
+    """The paper's effect rule: the attacked value is worse than the
+    baseline by more than floating-point noise."""
+    if lower_is_better:
+        return attacked > baseline + _EPS
+    return attacked < baseline - _EPS
+
+
 @dataclass
 class SweepPointSummary:
     """Aggregated replicates of one sweep point.
@@ -105,10 +114,8 @@ def summarise_point(index: int, label: str, values: dict, metric: str,
     base_vals = [r.extract_metric(metric) for r in baseline_records]
     atk_vals = [r.extract_metric(metric) for r in attacked_records]
     ratios = [a / b for a, b in zip(atk_vals, base_vals) if abs(b) > _EPS]
-    if lower_is_better:
-        effects = [a > b + _EPS for a, b in zip(atk_vals, base_vals)]
-    else:
-        effects = [a < b - _EPS for a, b in zip(atk_vals, base_vals)]
+    effects = [effect_present(lower_is_better, b, a)
+               for a, b in zip(atk_vals, base_vals)]
     n = len(attacked_records)
     return SweepPointSummary(
         index=index, label=label, values=dict(values), replicates=n,

@@ -23,16 +23,10 @@ import itertools
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Optional
 
-from repro.core.campaign import make_defenses, threat_experiment
-from repro.core.runner import (
-    CampaignRunner,
-    EpisodeSpec,
-    derive_replicate_seed,
-)
+from repro.core.campaign import plan_threat_experiment
+from repro.core.runner import CampaignRunner, EpisodeSpec
 from repro.core.scenario import ScenarioConfig
-from repro.net.channel import ChannelConfig
 from repro.obs import registry as obs
-from repro.platoon.vehicle import VehicleConfig
 from repro.sweep import aggregate
 from repro.sweep.spec import SweepSpec, split_path
 
@@ -47,29 +41,15 @@ class SweepPoint:
 
 
 @dataclass
-class PlannedReplicate:
-    replicate: int
-    seed: int
-    baseline: EpisodeSpec
-    attacked: EpisodeSpec
-    defended: Optional[EpisodeSpec] = None
-
-
-@dataclass
 class PlannedPoint:
     point: SweepPoint
     metric: str
     lower_is_better: bool
+    # One PlannedExperiment per seed replicate, replicate 0 first.
     replicates: list = field(default_factory=list)
 
     def specs(self) -> list[EpisodeSpec]:
-        out: list[EpisodeSpec] = []
-        for rep in self.replicates:
-            out.append(rep.baseline)
-            out.append(rep.attacked)
-            if rep.defended is not None:
-                out.append(rep.defended)
-        return out
+        return [spec for rep in self.replicates for spec in rep.specs()]
 
 
 @dataclass
@@ -109,23 +89,6 @@ def expand_points(spec: SweepSpec) -> list[SweepPoint]:
     return points
 
 
-def _build_base_config(base: dict) -> ScenarioConfig:
-    """ScenarioConfig from a spec's plain-JSON base overrides.
-
-    ``channel``/``vehicle`` entries may be nested dicts (the JSON view)
-    or already-built config objects.
-    """
-    overrides = dict(base)
-    if isinstance(overrides.get("channel"), dict):
-        overrides["channel"] = ChannelConfig(**overrides["channel"])
-    if isinstance(overrides.get("vehicle"), dict):
-        overrides["vehicle"] = VehicleConfig(**overrides["vehicle"])
-    for name in ("rsu_positions",):
-        if isinstance(overrides.get(name), list):
-            overrides[name] = tuple(overrides[name])
-    return ScenarioConfig().with_overrides(**overrides)
-
-
 class SweepEngine:
     """Plans and executes sweeps through a campaign runner."""
 
@@ -149,72 +112,41 @@ class SweepEngine:
     def plan(self, spec: SweepSpec) -> list[PlannedPoint]:
         """Expand a resolved spec into runnable campaign units."""
         spec = spec.resolved()
-        base_cfg = _build_base_config(spec.base)
-        requirements: dict = {}
-        if spec.mechanism is not None:
-            _, requirements = make_defenses(spec.mechanism)
-        points = expand_points(spec)
+        # The planner derives replicate seeds from the base config's
+        # seed, which for a sweep is the spec's root seed.
+        base_cfg = ScenarioConfig(**spec.base).with_overrides(
+            seed=spec.root_seed)
         planned: list[PlannedPoint] = []
-        for point in points:
+        for point in expand_points(spec):
             scenario_over: dict = {}
-            channel_over: dict = {}
-            vehicle_over: dict = {}
-            highway_over: dict = {}
-            attack_over: list[tuple] = []
-            defended_over: list[tuple] = []
+            nested_over: dict = {"channel": {}, "vehicle": {}, "highway": {}}
+            param_over: list[tuple] = []
             for path, value in point.values:
                 target, attr = split_path(path)
                 if target == "scenario":
                     scenario_over[attr] = value
-                elif target == "channel":
-                    channel_over[attr] = value
-                elif target == "vehicle":
-                    vehicle_over[attr] = value
-                elif target == "highway":
-                    highway_over[attr] = value
-                elif target == "attack":
-                    attack_over.append((path, value))
-                    defended_over.append((path, value))
-                else:                                   # defense.*
-                    defended_over.append((path, value))
+                elif target in nested_over:
+                    nested_over[target][attr] = value
+                else:                               # attack.* / defense.*
+                    param_over.append((path, value))
             point_cfg = base_cfg.with_overrides(**scenario_over)
-            if channel_over:
-                point_cfg = point_cfg.with_overrides(
-                    channel=dc_replace(point_cfg.channel, **channel_over))
-            if vehicle_over:
-                point_cfg = point_cfg.with_overrides(
-                    vehicle=dc_replace(point_cfg.vehicle, **vehicle_over))
-            if highway_over:
-                if point_cfg.highway is None:
-                    raise ValueError(
-                        "highway.* axes need a highway scenario; set a "
-                        "'highway' section in the sweep's base config")
-                point_cfg = point_cfg.with_overrides(
-                    highway=dc_replace(point_cfg.highway, **highway_over))
-            experiment = threat_experiment(spec.threat, point_cfg,
-                                           variant=spec.variant)
-            metric = spec.metric or experiment.metric_name
-            plan = PlannedPoint(point=point, metric=metric,
-                                lower_is_better=experiment.lower_is_better)
-            for rep in range(spec.seed_replicates):
-                seed = derive_replicate_seed(spec.root_seed, spec.threat,
-                                             experiment.variant, rep)
-                config = experiment.config.with_overrides(seed=seed,
-                                                          **requirements)
-                baseline = EpisodeSpec(spec.threat, experiment.variant,
-                                       "baseline", config)
-                attacked = EpisodeSpec(spec.threat, experiment.variant,
-                                       "attacked", config,
-                                       overrides=tuple(attack_over))
-                defended = None
-                if spec.mechanism is not None:
-                    defended = EpisodeSpec(spec.threat, experiment.variant,
-                                           "defended", config, spec.mechanism,
-                                           overrides=tuple(defended_over))
-                plan.replicates.append(PlannedReplicate(
-                    replicate=rep, seed=seed, baseline=baseline,
-                    attacked=attacked, defended=defended))
-            planned.append(plan)
+            if nested_over["highway"] and point_cfg.highway is None:
+                raise ValueError(
+                    "highway.* axes need a highway scenario; set a "
+                    "'highway' section in the sweep's base config")
+            point_cfg = point_cfg.with_overrides(**{
+                target: dc_replace(getattr(point_cfg, target), **over)
+                for target, over in nested_over.items() if over})
+            replicates = [plan_threat_experiment(
+                spec.threat, point_cfg, variant=spec.variant,
+                mechanism_key=spec.mechanism, replicate=rep,
+                overrides=param_over)
+                for rep in range(spec.seed_replicates)]
+            experiment = replicates[0].experiment
+            planned.append(PlannedPoint(
+                point=point, metric=spec.metric or experiment.metric_name,
+                lower_is_better=experiment.lower_is_better,
+                replicates=replicates))
         return planned
 
     # ------------------------------------------------------------ execution

@@ -1,21 +1,37 @@
 """Tests for the Table II/III campaign machinery."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import taxonomy
 from repro.core.campaign import (
     MatrixCell,
     make_defenses,
-    run_matrix_cell,
-    run_threat_experiment,
+    run_defense_matrix,
+    run_experiment_spec,
+    run_threat_catalogue,
     threat_experiment,
 )
-from repro.core.scenario import ScenarioConfig
+from repro.core.experiment import ExperimentSpec, load_experiment_spec
+from repro.core.runner import CampaignRunner
+from repro.core.scenario import ScenarioConfig, run_episode
+from repro.obs.trace import load_trace
+
+SPECS = Path(__file__).resolve().parent.parent.parent / "examples" / "specs"
 
 
 @pytest.fixture
 def small():
     return ScenarioConfig(n_vehicles=5, duration=45.0, warmup=8.0, seed=55)
+
+
+def matrix_cell(mechanism, threat, config):
+    """One Table III cell, taken from its mechanism's matrix row."""
+    (cell,) = [c for c in run_defense_matrix(config, [mechanism])
+               if c.threat_key == threat]
+    return cell
 
 
 class TestExperimentConstruction:
@@ -76,7 +92,7 @@ class TestDefenseConstruction:
 
 class TestThreatOutcome:
     def test_jamming_outcome_has_effect(self, small):
-        outcome = run_threat_experiment(threat_experiment("jamming", small))
+        (outcome,) = run_threat_catalogue(small, ["jamming"])
         assert outcome.effect_present
         assert outcome.attacked_value > outcome.baseline_value
         assert "jamming.pdr" in outcome.attack_observables
@@ -108,10 +124,78 @@ class TestMatrixCell:
         assert no_effect.mitigation is None
 
     def test_keys_vs_fake_maneuver_cell(self, small):
-        cell = run_matrix_cell("secret_public_keys", "fake_maneuver", small)
+        cell = matrix_cell("secret_public_keys", "fake_maneuver", small)
         assert cell.attacked_value > cell.baseline_value
         assert cell.mitigation is not None and cell.mitigation > 0.8
 
     def test_hybrid_vs_jamming_cell(self, small):
-        cell = run_matrix_cell("hybrid_communications", "jamming", small)
+        cell = matrix_cell("hybrid_communications", "jamming", small)
         assert cell.mitigation is not None and cell.mitigation > 0.6
+
+
+def compose_by_hand(spec, base):
+    """The spec as bare ``run_episode`` calls -- no engine, no records:
+    ``([baseline, attacked(, defended)] values, attack observables)``."""
+    experiment = spec.build(base)
+
+    def episode(**kwargs):
+        return run_episode(experiment.config, setup_hooks=experiment.hooks,
+                           **kwargs)
+
+    results = [episode(), episode(attacks=experiment.make_attacks())]
+    if spec.defenses:
+        results.append(episode(attacks=experiment.make_attacks(),
+                               defenses=spec.build_defenses(base)))
+    values = [float(getattr(r.metrics, experiment.metric_name))
+              for r in results]
+    observables = {f"{report.attack_name}.{key}": value
+                   for report in results[1].attack_reports
+                   for key, value in report.observables.items()}
+    return values, observables
+
+
+class TestExperimentSpecOnEngine:
+    """``run_experiment_spec`` runs through the campaign engine and
+    reproduces the spec's hand composition exactly."""
+
+    BASE = ScenarioConfig(n_vehicles=5, duration=45.0, warmup=10.0, seed=3)
+
+    #: ``config`` moves the warmup, but ``$config`` expressions resolve
+    #: against the base, so the jammer still starts at the base warmup.
+    WARMUP_OVERRIDE = ExperimentSpec.from_dict({
+        "threat": "jamming", "variant": "late-warmup",
+        "config": {"warmup": 20.0},
+        "attacks": [{"component": "jamming",
+                     "params": {"start_time": {"$config": "warmup"},
+                                "power_dbm": 30.0}}],
+        "metric": {"name": "degraded_fraction"}})
+
+    @pytest.mark.parametrize("spec", [
+        load_experiment_spec(SPECS / "pulsed_jamming.json"),
+        load_experiment_spec(SPECS / "insider_surge.json"),
+        WARMUP_OVERRIDE,
+    ], ids=lambda spec: spec.display_name)
+    def test_engine_matches_hand_composition(self, spec, tmp_path):
+        runner = CampaignRunner(trace_dir=tmp_path)
+        run = run_experiment_spec(spec, self.BASE, runner=runner)
+        values, observables = compose_by_hand(spec, self.BASE)
+        engine_values = [run.outcome.baseline_value,
+                         run.outcome.attacked_value]
+        if spec.defenses:
+            engine_values.append(run.defended_value)
+        assert engine_values == values
+        assert run.outcome.attack_observables == \
+            json.loads(json.dumps(observables))
+        assert runner.report().computed == len(values)
+        # No seed derivation: every episode runs at the base seed.
+        headers = [load_trace(t)[0] for t in tmp_path.glob("*.trace.jsonl")]
+        assert [h["seed"] for h in headers] == [self.BASE.seed] * len(values)
+
+    def test_config_expressions_resolve_against_the_base(self, tmp_path):
+        run_experiment_spec(self.WARMUP_OVERRIDE, self.BASE,
+                            runner=CampaignRunner(trace_dir=tmp_path))
+        starts = [record["t"]
+                  for trace in tmp_path.glob("*.trace.jsonl")
+                  for record in load_trace(trace)[1]
+                  if record.get("kind") == "attack_start"]
+        assert starts == [self.BASE.warmup]

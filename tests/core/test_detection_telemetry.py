@@ -118,26 +118,28 @@ class TestEpisodeIntegration:
         assert results["scalar"].detection == results["vector"].detection
 
 
-class TestCampaignIntegration:
-    def test_matrix_cell_carries_defended_detection(self):
-        from repro.core.campaign import run_matrix_cell
+@pytest.fixture(scope="module")
+def replay_cell():
+    """The secret-keys matrix row's replay cell (defended by freshness)."""
+    from repro.core.campaign import run_defense_matrix
 
-        cell = run_matrix_cell(
-            "secret_public_keys", "replay",
-            base_config=ScenarioConfig(n_vehicles=4, duration=20.0,
-                                       warmup=8.0, seed=7))
+    cells = run_defense_matrix(
+        ScenarioConfig(n_vehicles=4, duration=20.0, warmup=8.0, seed=7),
+        ["secret_public_keys"])
+    (cell,) = [c for c in cells if c.threat_key == "replay"]
+    return cell
+
+
+class TestCampaignIntegration:
+    def test_matrix_cell_carries_defended_detection(self, replay_cell):
+        cell = replay_cell
         assert cell.detection["totals"]["verdicts"] > 0
         assert "freshness" in cell.detection["mechanisms"]
 
-    def test_matrix_metrics_gate_detection_counters(self):
+    def test_matrix_metrics_gate_detection_counters(self, replay_cell):
         from repro.__main__ import _matrix_metrics
-        from repro.core.campaign import run_matrix_cell
 
-        cell = run_matrix_cell(
-            "secret_public_keys", "replay",
-            base_config=ScenarioConfig(n_vehicles=4, duration=20.0,
-                                       warmup=8.0, seed=7))
-        metrics = _matrix_metrics([cell])
+        metrics = _matrix_metrics([replay_cell])
         prefix = "secret_public_keys/replay"
         assert metrics[f"{prefix}.det_verdicts"] > 0
         assert f"{prefix}.det_flagged" in metrics

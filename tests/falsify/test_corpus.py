@@ -1,14 +1,16 @@
 """Corpus round-trip: write, reject-safe, iterate, replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.experiment import ComponentSpec, ExperimentSpec, MetricSpec
 from repro.core.scenario import ScenarioConfig
+from repro.net.channel import ChannelConfig
+from repro.platoon.vehicle import VehicleConfig
 from repro.falsify.corpus import (
     CORPUS_FORMAT,
-    config_from_dict,
     config_to_dict,
     iter_corpus,
     replay_counterexample,
@@ -49,13 +51,29 @@ class TestConfigRoundTrip:
         config = ScenarioConfig(n_vehicles=6, duration=50.0, warmup=9.0,
                                 seed=7, kernel="vector")
         data = json.loads(json.dumps(config_to_dict(config)))
-        assert config_from_dict(data) == config
+        assert ScenarioConfig(**data) == config
 
     def test_nothing_is_stripped(self):
         data = config_to_dict(CONFIG)
         assert "kernel" in data
         assert "seed" in data
         assert "channel" in data
+
+    def test_committed_manifest_configs_load_unchanged(self):
+        entries = iter_corpus(Path(__file__).resolve().parent.parent
+                              / "corpus")
+        assert len(entries) == 2
+        for entry in entries:
+            config = entry.load_config()
+            assert isinstance(config.channel, ChannelConfig)
+            assert isinstance(config.vehicle, VehicleConfig)
+            assert isinstance(config.rsu_positions, tuple)
+            # Every committed field reads back as written (the manifests
+            # predate the highway field, which stays unset).
+            committed = entry.manifest["config"]
+            data = config_to_dict(config)
+            assert {key: data[key] for key in committed} == committed
+            assert config.highway is None
 
 
 class TestWrite:

@@ -1,8 +1,9 @@
 """Cross-platoon attack cells, end to end through the campaign layer.
 
-Runs ``run_highway_catalogue`` exactly as the ``highway`` CLI
-subcommand does (same base config, same derived seeds), so these tests
-pin the headline claims of the highway subsystem:
+Runs ``run_threat_catalogue`` over :func:`highway_variants` exactly as
+the ``highway`` CLI subcommand does (same base config, same derived
+seeds), so these tests pin the headline claims of the highway
+subsystem:
 
 * the Sybil attacker gets the *same* ghosts admitted to multiple
   platoons at once (physically impossible for a real vehicle);
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.campaign import highway_variants, run_highway_catalogue
+from repro.core.campaign import highway_variants, run_threat_catalogue
 from repro.core.runner import CampaignRunner
 from repro.core.scenario import ScenarioConfig
 from repro.obs.telemetry import RecordingSink, TelemetryBus
@@ -30,11 +31,11 @@ CELLS = {("sybil", "highway-ghost-shopping"),
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
     store = f"sqlite:{tmp_path_factory.mktemp('highway-store') / 'store.db'}"
-    first = run_highway_catalogue(BASE, store=store)
+    first = run_threat_catalogue(BASE, highway_variants(), store=store)
     sink = RecordingSink()
-    second = run_highway_catalogue(
-        BASE, runner=CampaignRunner(store=store,
-                                    telemetry=TelemetryBus([sink])))
+    second = run_threat_catalogue(
+        BASE, highway_variants(),
+        runner=CampaignRunner(store=store, telemetry=TelemetryBus([sink])))
     return first, second, sink
 
 

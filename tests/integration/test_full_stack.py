@@ -11,12 +11,7 @@ from repro.core.attacks import (
     ReplayAttack,
     SybilAttack,
 )
-from repro.core.campaign import (
-    run_matrix_cell,
-    run_threat_catalogue,
-    threat_experiment,
-    run_threat_experiment,
-)
+from repro.core.campaign import run_defense_matrix, run_threat_catalogue
 from repro.core.defenses import (
     FreshnessDefense,
     GroupKeyAuthDefense,
@@ -152,14 +147,15 @@ class TestCampaignEndToEnd:
     def test_matrix_cell_end_to_end(self):
         config = ScenarioConfig(n_vehicles=5, duration=45.0, warmup=8.0,
                                 seed=203)
-        cell = run_matrix_cell("secret_public_keys", "fake_maneuver", config)
+        (cell,) = [c for c in run_defense_matrix(config, ["secret_public_keys"])
+                   if c.threat_key == "fake_maneuver"]
         assert cell.mitigation is not None
         assert cell.mitigation > 0.8
 
     def test_risk_calibration_from_campaign(self):
         config = ScenarioConfig(n_vehicles=5, duration=45.0, warmup=8.0,
                                 seed=204)
-        outcome = run_threat_experiment(threat_experiment("jamming", config))
+        (outcome,) = run_threat_catalogue(config, ["jamming"])
         tara = build_platoon_tara()
         ratio = (outcome.attacked_value / outcome.baseline_value
                  if outcome.baseline_value else 10.0)

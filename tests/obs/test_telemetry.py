@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.core.campaign import run_highway_catalogue, run_threat_catalogue
+from repro.core.campaign import highway_variants, run_threat_catalogue
 from repro.core.runner import CampaignRunner
 from repro.core.scenario import ScenarioConfig
 from repro.obs.telemetry import (
@@ -258,7 +258,8 @@ class TestHighwayRunLog:
 
     def run_highway(self, **runner_kwargs):
         runner = CampaignRunner(**runner_kwargs)
-        run_highway_catalogue(self.TINY_HIGHWAY, runner=runner)
+        run_threat_catalogue(self.TINY_HIGHWAY, highway_variants(),
+                             runner=runner)
         return runner
 
     def test_unit_events_carry_platoon_fields(self):

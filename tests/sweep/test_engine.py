@@ -49,7 +49,7 @@ class TestPlanning:
         engine = SweepEngine()
         planned = engine.plan(tiny_spec())
         for plan in planned:
-            seeds = [rep.seed for rep in plan.replicates]
+            seeds = [rep.baseline.config.seed for rep in plan.replicates]
             assert seeds[0] == derive_replicate_seed(7, "jamming",
                                                      "barrage-30dBm", 0)
             assert seeds[1] == derive_replicate_seed(7, "jamming",
@@ -65,10 +65,8 @@ class TestPlanning:
 
     def test_baselines_shared_across_attack_points(self):
         planned = SweepEngine().plan(tiny_spec())
-        keys_a = {rep.replicate: rep.baseline.key
-                  for rep in planned[0].replicates}
-        keys_b = {rep.replicate: rep.baseline.key
-                  for rep in planned[1].replicates}
+        keys_a = [rep.baseline.key for rep in planned[0].replicates]
+        keys_b = [rep.baseline.key for rep in planned[1].replicates]
         assert keys_a == keys_b
 
     def test_scenario_axis_changes_the_config(self):
@@ -88,6 +86,37 @@ class TestPlanning:
         assert cfgs[0].channel.noise_floor_dbm == -95.0
         assert cfgs[1].channel.noise_floor_dbm == -85.0
         assert cfgs[0].seed == cfgs[1].seed    # same replicate stream
+
+    #: sha256 over every planned unit's content key (which hashes the
+    #: point's canonical config, seed and overrides), per shipped preset
+    #: at root seed 42, 2 replicates and the CLI's base defaults.  A
+    #: change here means the sweep would stop sharing store entries
+    #: with earlier runs.
+    PINNED_PLANS = {
+        "channel-loss": "ea42d3493555ff835f85a5399d66ed44"
+                        "5d82fbbb305b06599e66f8598ee472d8",
+        "jamming-intensity": "870dd285bce6dcff44bc49e7c39776c4"
+                             "63847eac275da003d9b54f91230365ea",
+        "sybil-count": "f64dd353164310966532cc7b2fa293f9"
+                       "6c9a4510791d0de527efef05836b6be4",
+        "traffic-density": "054bca1faab32af9a602d9cb819131e6"
+                           "23666e946a3355e4c814a0b6938e5da9",
+    }
+
+    def test_preset_plans_are_pinned(self):
+        import hashlib
+
+        base = {"n_vehicles": 8, "duration": 90.0, "warmup": 10.0,
+                "trucks": False}
+        digests = {}
+        for name, preset in PRESETS.items():
+            spec = preset.resolved(root_seed=42, seed_replicates=2,
+                                   base_defaults=base)
+            keys = [unit.key for plan in SweepEngine().plan(spec)
+                    for unit in plan.specs()]
+            digests[name] = hashlib.sha256(
+                "\n".join(keys).encode()).hexdigest()
+        assert digests == self.PINNED_PLANS
 
     def test_defended_sweep_plans_three_roles(self):
         spec = tiny_spec(mechanism="hybrid_communications")
