@@ -440,6 +440,7 @@ def cmd_falsify(args) -> int:
     if result.baseline is not None and result.baseline.violated:
         print("baseline episode already violates safety; nothing to "
               "falsify", file=sys.stderr)
+        _print_report(runner, args)
         return 2
     if not result.found:
         print("no safety violation found within the episode budget")
@@ -463,13 +464,24 @@ def cmd_falsify(args) -> int:
     return 0
 
 
+def _catalogue_check(ok_line: str) -> int:
+    """The one completeness check (taxonomy -> registry -> catalogue)
+    behind ``taxonomy`` and ``experiments --validate``."""
+    from repro.experiments import check_catalogue_complete
+
+    problems = check_catalogue_complete()
+    if problems:
+        print("CATALOGUE PROBLEMS:", file=sys.stderr)
+        for problem in problems:
+            print(f"  - {problem}", file=sys.stderr)
+        return 1
+    print(ok_line)
+    return 0
+
+
 def cmd_experiments(args) -> int:
     from repro.core.experiment import load_experiment_spec
-    from repro.experiments import (
-        check_catalogue_complete,
-        iter_defense_stacks,
-        iter_experiment_specs,
-    )
+    from repro.experiments import iter_defense_stacks, iter_experiment_specs
 
     if args.validate:
         if args.specs:
@@ -484,15 +496,9 @@ def cmd_experiments(args) -> int:
             for path, reason in failures:
                 print(f"{path}: INVALID -- {reason}", file=sys.stderr)
             return 2 if failures else 0
-        problems = check_catalogue_complete()
-        if problems:
-            print("CATALOGUE PROBLEMS:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print("catalogue check: every threat, variant and mechanism "
-              "resolves through the registry.")
-        return 0
+        return _catalogue_check(
+            "catalogue check: every threat, variant and mechanism "
+            "resolves through the registry.")
     experiment_rows = [
         [threat, variant, "*" if is_default else "",
          ", ".join(c.key for c in spec.attacks), spec.metric.name]
@@ -595,14 +601,8 @@ def cmd_taxonomy(args) -> int:
         [[m.key, m.display_name, ", ".join(m.attack_targets),
           ", ".join(m.defense_impls)] for m in taxonomy.MECHANISMS.values()],
         title="\nTable III -- mechanisms"))
-    problems = taxonomy.check_taxonomy_complete()
-    if problems:
-        print("\nREGISTRY PROBLEMS:")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    print("\nregistry check: every catalogued row is implemented.")
-    return 0
+    return _catalogue_check(
+        "\nregistry check: every catalogued row is implemented.")
 
 
 def cmd_risk(args) -> int:
@@ -836,8 +836,7 @@ def cmd_report(args) -> int:
         runner, result, label, metrics = _run_sweep(args, args.target)
         document = sweep_report(result, run_report=runner.report(),
                                 trace_dir=args.trace_dir)
-    if runner.telemetry is not None:
-        runner.telemetry.close()
+    _print_report(runner, args)
     path = write_report(args.out, document)
     print(f"report: {path}")
     _append_bench_history(args, label, runner, metrics)

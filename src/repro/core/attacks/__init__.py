@@ -80,7 +80,6 @@ _PARAM_OVERRIDES = {
     MalwareAttack: {
         "vectors": ParamSpec(name="vectors",
                              default=(InfectionVector.WIRELESS,),
-                             annotation="tuple[InfectionVector, ...]",
                              convert=_coerce_vectors),
     },
 }

@@ -56,42 +56,10 @@ from repro.core.experiment import ExperimentSpec, ThreatExperiment
 from repro.experiments import defense_stack, experiment_spec
 
 __all__ = [
-    "ThreatExperiment", "ThreatOutcome", "MatrixCell", "PlannedExperiment",
-    "ExperimentSpecRun", "threat_experiment", "make_defenses",
+    "ThreatOutcome", "MatrixCell", "PlannedExperiment", "ExperimentSpecRun",
     "run_experiment_spec", "plan_threat_experiment",
     "run_threat_catalogue", "run_defense_matrix", "highway_variants",
 ]
-
-
-def threat_experiment(threat_key: str,
-                      base_config: Optional[ScenarioConfig] = None,
-                      variant: Optional[str] = None) -> ThreatExperiment:
-    """Build the canonical experiment for a Table II threat key.
-
-    Resolution goes through the declarative catalogue
-    (:mod:`repro.experiments`) and the component registry: unknown
-    threats raise ``KeyError``, unknown variants raise ``ValueError``
-    naming the valid ones.
-    """
-    base = base_config or ScenarioConfig(duration=90.0)
-    return experiment_spec(threat_key, variant).build(base)
-
-
-# --------------------------------------------------------------------------
-# Defence construction
-# --------------------------------------------------------------------------
-
-def make_defenses(mechanism_key: str) -> tuple[list, dict]:
-    """Canonical defence stack for a Table III mechanism key.
-
-    Returns ``(defenses, config_requirements)`` where the requirements are
-    ScenarioConfig overrides the mechanism needs (VLC hardware, authority,
-    RSUs along the route).  Stacks resolve through the declarative
-    defence table (:mod:`repro.experiments`) and the component registry;
-    unknown mechanisms raise ``KeyError``.
-    """
-    stack = defense_stack(mechanism_key)
-    return stack.build(), dict(stack.requirements)
 
 
 # --------------------------------------------------------------------------
@@ -101,6 +69,19 @@ def make_defenses(mechanism_key: str) -> tuple[list, dict]:
 #: Tolerance below which a metric delta/baseline counts as zero for the
 #: ratio guards (floating-point noise, not a real effect).
 _EPS = 1e-9
+
+
+def _mitigation(baseline: float, attacked: float,
+                defended: float) -> Optional[float]:
+    """Fraction of the attack-induced delta removed by the defence.
+
+    1.0 = fully restored to baseline; 0.0 = no help; negative = the
+    defence made it worse.  ``None`` when the attack had no effect.
+    """
+    delta = attacked - baseline
+    if abs(delta) < _EPS:
+        return None
+    return (attacked - defended) / delta
 
 
 @dataclass
@@ -139,10 +120,8 @@ class ExperimentSpecRun:
     def mitigation(self) -> Optional[float]:
         if self.defended_value is None:
             return None
-        delta = self.outcome.attacked_value - self.outcome.baseline_value
-        if abs(delta) < _EPS:
-            return None
-        return (self.outcome.attacked_value - self.defended_value) / delta
+        return _mitigation(self.outcome.baseline_value,
+                           self.outcome.attacked_value, self.defended_value)
 
 
 @dataclass
@@ -164,15 +143,10 @@ class MatrixCell:
 
     @property
     def mitigation(self) -> Optional[float]:
-        """Fraction of the attack-induced delta removed by the defence.
-
-        1.0 = fully restored to baseline; 0.0 = no help; negative = the
-        defence made it worse.  ``None`` when the attack had no effect.
-        """
-        delta_attack = self.attacked_value - self.baseline_value
-        if abs(delta_attack) < _EPS:
-            return None
-        return (self.attacked_value - self.defended_value) / delta_attack
+        """Fraction of the attack-induced delta removed by the defence
+        (see :func:`_mitigation`)."""
+        return _mitigation(self.baseline_value, self.attacked_value,
+                           self.defended_value)
 
 
 def _aggregate(records: Sequence[EpisodeRecord],
@@ -257,7 +231,7 @@ def plan_threat_experiment(threat_key: str,
     all of them.
     """
     base = base_config or ScenarioConfig(duration=90.0)
-    experiment = threat_experiment(threat_key, base, variant=variant)
+    experiment = experiment_spec(threat_key, variant).build(base)
     requirements: dict = {}
     if mechanism_key is not None:
         requirements = dict(defense_stack(mechanism_key).requirements)
@@ -335,9 +309,6 @@ def run_experiment_spec(spec: ExperimentSpec,
 def run_threat_catalogue(base_config: Optional[ScenarioConfig] = None,
                          threats: Optional[Sequence] = None,
                          *,
-                         workers: int = 1,
-                         store=None,
-                         trace_dir=None,
                          seed_replicates: int = 1,
                          runner: Optional[CampaignRunner] = None
                          ) -> list[ThreatOutcome]:
@@ -347,12 +318,12 @@ def run_threat_catalogue(base_config: Optional[ScenarioConfig] = None,
     explicit ``(threat, variant)`` cells such as
     :func:`highway_variants`; the default is every Table II threat.
 
-    Executes through the campaign engine: pass ``workers``, a result
-    store (``store="sqlite:PATH"``) and/or ``trace_dir`` (or a
-    preconfigured ``runner``, which wins) to parallelise, to
-    persist/reuse episode results, and to stream per-unit JSONL
-    traces.  Results are
-    independent of the worker count.
+    Executes through the campaign engine: pass a ``runner`` configured
+    with workers, a result store and/or a trace directory to
+    parallelise, to persist/reuse episode results, and to stream
+    per-unit JSONL traces (the default is a serial, store-less
+    :class:`CampaignRunner`).  Results are independent of the worker
+    count.
 
     ``seed_replicates=N`` runs every threat at N derived seeds (sweep
     aggregation semantics: replicate 0 is the canonical stream) and
@@ -363,9 +334,7 @@ def run_threat_catalogue(base_config: Optional[ScenarioConfig] = None,
     selected = threats if threats is not None else taxonomy.THREATS
     cells = [(key, None, None) if isinstance(key, str) else (*key, None)
              for key in selected]
-    engine = runner if runner is not None else CampaignRunner(
-        workers=workers, store=store,
-        trace_dir=trace_dir)
+    engine = runner if runner is not None else CampaignRunner()
     plans, records = _run_replicated(cells, base_config, seed_replicates,
                                      engine)
     return [_outcome(reps[0].experiment,
@@ -402,9 +371,6 @@ def _matrix_variant(mechanism_key: str, threat_key: str) -> Optional[str]:
 def run_defense_matrix(base_config: Optional[ScenarioConfig] = None,
                        mechanisms: Optional[Sequence[str]] = None,
                        *,
-                       workers: int = 1,
-                       store=None,
-                       trace_dir=None,
                        seed_replicates: int = 1,
                        runner: Optional[CampaignRunner] = None
                        ) -> list[MatrixCell]:
@@ -412,17 +378,16 @@ def run_defense_matrix(base_config: Optional[ScenarioConfig] = None,
 
     Executes through the campaign engine: every distinct baseline and
     attacked episode runs exactly once per campaign (mechanisms whose
-    config requirements agree share them), and ``workers > 1`` fans the
-    remaining units over a process pool without changing any value.
+    config requirements agree share them), and a ``runner`` with
+    ``workers > 1`` fans the remaining units over a process pool without
+    changing any value.
 
     ``seed_replicates=N`` replicates every cell over N derived seeds and
     reports replicate means with the spread in the ``*_std`` fields (see
     :func:`run_threat_catalogue`).
     """
     keys = list(mechanisms) if mechanisms is not None else list(taxonomy.MECHANISMS)
-    engine = runner if runner is not None else CampaignRunner(
-        workers=workers, store=store,
-        trace_dir=trace_dir)
+    engine = runner if runner is not None else CampaignRunner()
     cells = [(threat_key, _matrix_variant(mechanism_key, threat_key),
               mechanism_key)
              for mechanism_key in keys

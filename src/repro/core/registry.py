@@ -2,13 +2,12 @@
 
 Every attack, defence, traffic hook and headline metric registers here
 under a stable string key together with a *parameter schema* -- the
-parameter names, defaults and annotations introspected from the
-component's constructor (overridable at registration time for
-parameters that need JSON coercion, e.g. enum lists).  The registry is
-what turns component references in declarative experiment specs
-(:mod:`repro.core.experiment`) into live instances, and what the sweep
-layer consults to validate ``attack.*``/``defense.*`` parameter axes
-before anything runs.
+parameter names and defaults introspected from the component's
+constructor (overridable at registration time for parameters that need
+JSON coercion, e.g. enum lists).  The registry is what turns component
+references in declarative experiment specs (:mod:`repro.core.experiment`)
+into live instances, and what the sweep layer consults to validate
+``attack.*``/``defense.*`` parameter axes before anything runs.
 
 Registration happens where the components live: the attack suite
 registers itself in :mod:`repro.core.attacks`, the defence suite in
@@ -16,10 +15,10 @@ registers itself in :mod:`repro.core.attacks`, the defence suite in
 :mod:`repro.core.experiment`.  This module deliberately imports none of
 them, so it can be imported from anywhere without cycles.
 
-Lookup errors are ``KeyError`` (mirroring the historical
-``threat_experiment``/``make_defenses`` contract); *parameter* errors --
-unknown names, missing required values -- are ``ValueError`` naming the
-valid choices, so a typo in a spec file fails loudly and helpfully.
+Lookup errors are ``KeyError`` (as for unknown threats and mechanisms
+in :mod:`repro.experiments`); *parameter* errors -- unknown names,
+missing required values -- are ``ValueError`` naming the valid choices,
+so a typo in a spec file fails loudly and helpfully.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class ParamSpec:
 
     name: str
     default: Any = REQUIRED
-    annotation: str = ""
     #: Optional JSON -> native coercion applied before construction
     #: (e.g. ``["wireless"]`` -> ``(InfectionVector.WIRELESS,)``).
     convert: Optional[Callable[[Any], Any]] = None
@@ -49,11 +47,6 @@ class ParamSpec:
     @property
     def required(self) -> bool:
         return self.default is REQUIRED
-
-    def describe(self) -> str:
-        if self.required:
-            return f"{self.name} (required)"
-        return f"{self.name}={self.default!r}"
 
 
 @dataclass
@@ -66,29 +59,6 @@ class ComponentInfo:
     params: Dict[str, ParamSpec] = field(default_factory=dict)
     description: str = ""
     metadata: dict = field(default_factory=dict)
-
-    def schema(self) -> dict:
-        """Plain-JSON view of the parameter schema (for listings)."""
-        return {
-            "kind": self.kind,
-            "key": self.key,
-            "description": self.description,
-            "params": [
-                {"name": p.name,
-                 "required": p.required,
-                 **({} if p.required else {"default": _jsonable(p.default)}),
-                 **({"type": p.annotation} if p.annotation else {})}
-                for p in self.params.values()
-            ],
-        }
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    return repr(value)
 
 
 def introspect_params(factory: Callable) -> Dict[str, ParamSpec]:
@@ -105,10 +75,7 @@ def introspect_params(factory: Callable) -> Dict[str, ParamSpec]:
             continue
         default = (REQUIRED if parameter.default is inspect.Parameter.empty
                    else parameter.default)
-        annotation = ("" if parameter.annotation is inspect.Parameter.empty
-                      else inspect.formatannotation(parameter.annotation))
-        params[name] = ParamSpec(name=name, default=default,
-                                 annotation=annotation)
+        params[name] = ParamSpec(name=name, default=default)
     return params
 
 
@@ -164,14 +131,8 @@ class ComponentRegistry:
             raise KeyError(f"unknown {kind} component {key!r}; expected one "
                            f"of {self.keys(kind)}") from None
 
-    def has(self, kind: str, key: str) -> bool:
-        return key in self._components.get(kind, {})
-
     def keys(self, kind: str) -> list:
         return sorted(self._components.get(kind, {}))
-
-    def components(self, kind: str) -> list:
-        return [self._components[kind][key] for key in self.keys(kind)]
 
     # ----------------------------------------------------------- validation
 

@@ -26,7 +26,7 @@ defended episodes -- the Table III mechanism key).  The
   via :func:`derive_seed`, so any unit reruns bit-identically in
   isolation, serially or on any worker.
 * **Accounting** -- each requested unit yields a :class:`UnitReport`
-  (cache hit/miss, source, wall time, start/finish timestamps);
+  (cache hit/miss, source, episode wall time);
   :meth:`CampaignRunner.report` aggregates them into a :class:`RunReport`
   the CLI prints.
 * **Observability** -- every computed episode runs against an isolated
@@ -62,13 +62,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.experiment import ExperimentSpec
 from repro.core.scenario import ScenarioConfig, run_episode
+from repro.experiments import defense_stack, experiment_spec
 from repro.obs import registry as obs
 from repro.obs.telemetry import TelemetryBus
 from repro.obs.trace import trace_filename
-from repro.store import DEFAULT_LEASE_TTL, SqliteStore, StoreError, open_store
+from repro.store import SqliteStore, StoreError, open_store
 
 ROLES = ("baseline", "attacked", "defended")
+
+#: How often (seconds) a runner waiting on another runner's leased unit
+#: re-checks the store.
+LEASE_POLL_S = 0.05
 
 _SEED_SPACE = 2 ** 32
 
@@ -309,32 +315,22 @@ def _execute_spec(spec: EpisodeSpec, trace_dir: Optional[str] = None,
     back to the parent inside the record.  With ``trace_dir`` set, the
     episode streams a JSONL trace named by the spec's content hash.
     """
-    from repro.core.campaign import make_defenses, threat_experiment
-
     trace_path = (Path(trace_dir) / trace_filename(spec.key)
                   if trace_dir is not None else None)
     obs.set_profiling(profile)
     with obs.isolated_registry() as registry:
         start = time.perf_counter()
-        if spec.experiment is not None:
-            from repro.core.experiment import ExperimentSpec
-
-            payload_spec = ExperimentSpec.from_dict(spec.experiment)
-            experiment = payload_spec.build(spec.config)
-            attacks = (experiment.make_attacks()
-                       if spec.role in ("attacked", "defended") else ())
-            defenses: Sequence = ()
-            if spec.role == "defended":
-                defenses = (make_defenses(spec.mechanism_key)[0]
-                            if spec.mechanism_key is not None
-                            else payload_spec.build_defenses(spec.config))
-        else:
-            experiment = threat_experiment(spec.threat_key, spec.config,
-                                           variant=spec.variant)
-            attacks = (experiment.make_attacks()
-                       if spec.role in ("attacked", "defended") else ())
-            defenses = (make_defenses(spec.mechanism_key)[0]
-                        if spec.role == "defended" else ())
+        espec = (ExperimentSpec.from_dict(spec.experiment)
+                 if spec.experiment is not None
+                 else experiment_spec(spec.threat_key, spec.variant))
+        experiment = espec.build(spec.config)
+        attacks = (experiment.make_attacks()
+                   if spec.role != "baseline" else ())
+        defenses: Sequence = ()
+        if spec.role == "defended":
+            defenses = (defense_stack(spec.mechanism_key).build()
+                        if spec.mechanism_key is not None
+                        else espec.build_defenses(spec.config))
         if spec.overrides:
             apply_parameter_overrides(attacks, defenses, spec.overrides)
         result = run_episode(experiment.config, attacks=attacks,
@@ -378,8 +374,6 @@ class UnitReport:
     cache_hit: bool
     source: str                 # "computed" | "memory" | "disk"
     wall_time: float            # episode compute time (0.0 for hits)
-    started: float              # epoch seconds
-    finished: float
 
 
 @dataclass
@@ -470,15 +464,9 @@ class CampaignRunner:
         :class:`~repro.store.SqliteStore` or a ``sqlite:<path>`` URL.
         Corrupt, stale or misfiled rows, and store failures, fall back
         to recomputation -- they never raise.  Against a shared store
-        the runner takes per-unit in-flight leases (see ``lease_ttl``)
-        so concurrent runners split the work instead of duplicating it.
-    lease_ttl:
-        In-flight lease time-to-live in seconds.  A unit whose lease
-        holder crashed becomes claimable again after this long, so it
-        must exceed the slowest expected episode.
-    lease_poll:
-        How often (seconds) a runner waiting on another runner's
-        leased unit re-checks the store.
+        the runner takes per-unit in-flight leases (the store's default
+        TTL) so concurrent runners split the work instead of
+        duplicating it.
     trace_dir:
         Optional directory for persistent episode traces: every
         *computed* unit writes one JSONL trace named by its content hash
@@ -496,14 +484,12 @@ class CampaignRunner:
     def __init__(self, workers: int = 1,
                  trace_dir: Optional[Union[str, Path]] = None,
                  telemetry: Optional[TelemetryBus] = None,
-                 store: Optional[Union[str, SqliteStore]] = None,
-                 lease_ttl: float = DEFAULT_LEASE_TTL,
-                 lease_poll: float = 0.05) -> None:
-        self.workers = max(1, int(workers or 1))
+                 store: Optional[Union[str, SqliteStore]] = None) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = int(workers)
         self.store: Optional[SqliteStore] = \
             open_store(store) if store is not None else None
-        self.lease_ttl = float(lease_ttl)
-        self.lease_poll = float(lease_poll)
         self._owner = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         if self.trace_dir is not None:
@@ -646,7 +632,6 @@ class CampaignRunner:
             if key not in external and record.observability:
                 self._obs.merge_snapshot(record.observability)
 
-        now = time.time()
         seen: set = set()
         for key, spec in requested:
             first_request = key not in seen
@@ -659,8 +644,7 @@ class CampaignRunner:
             self._units.append(UnitReport(
                 key=key, threat_key=spec.threat_key, variant=spec.variant,
                 role=spec.role, mechanism_key=spec.mechanism_key,
-                cache_hit=is_hit, source=source, wall_time=wall,
-                started=now, finished=now))
+                cache_hit=is_hit, source=source, wall_time=wall))
         elapsed = time.perf_counter() - phase_start
         self._add_phase("record", elapsed)
         self._emit("phase_finished", phase="record", wall_time=elapsed)
@@ -738,7 +722,7 @@ class CampaignRunner:
                 results.update(self._execute_batch(takeover))
             waiting = still
             if waiting and not progressed:
-                time.sleep(self.lease_poll)
+                time.sleep(LEASE_POLL_S)
         return results, external
 
     def _execute_batch(self, to_compute: Sequence[tuple]
@@ -798,7 +782,7 @@ class CampaignRunner:
 
     def _acquire(self, key: str) -> str:
         try:
-            return self.store.acquire(key, self._owner, self.lease_ttl)
+            return self.store.acquire(key, self._owner)
         except StoreError:
             # A broken store must never stall the campaign: compute.
             return "acquired"

@@ -86,6 +86,10 @@ class ScenarioConfig:
     kernel: str = "scalar"
 
     def __post_init__(self) -> None:
+        if self.n_vehicles < 1:
+            raise ValueError(f"n_vehicles must be >= 1, got {self.n_vehicles}")
+        if self.duration <= 0:
+            raise ValueError(f"duration must be > 0, got {self.duration}")
         # Experiment specs, sweeps and JSON files supply the nested
         # configs as plain dicts and the RSU positions as a list; coerce
         # them so every construction path (with_overrides,

@@ -1,10 +1,11 @@
 """Machine-readable taxonomy: the paper's Tables I, II and III.
 
 This module is the canonical data behind the survey.  Each entry carries
-the text content of the corresponding table row *and* a link to the code
-that implements it, so the reproduction is checkable: the registry
-functions verify that every catalogued threat has an :class:`Attack`
-subclass and every mechanism a :class:`Defense` subclass behind it.
+the text content of the corresponding table row *and* the registry keys
+of the code that implements it, so the reproduction is checkable:
+:func:`repro.experiments.check_catalogue_complete` verifies that every
+row names registered attacks or defences and that every registered
+component is catalogued.
 
 * :data:`SURVEYS` -- Table I, the seven related surveys with the attacks
   each discusses.
@@ -381,85 +382,3 @@ OPEN_CHALLENGES: tuple = (
      "Simulation platforms (Plexe, VENTOS) give insight but results are not "
      "always realistic; real-world validation remains costly."),
 )
-
-
-# --------------------------------------------------------------------------
-# Registry checks
-# --------------------------------------------------------------------------
-
-def attack_registry() -> dict[str, type]:
-    """Map attack taxonomy keys to implementing classes."""
-    from repro.core.attacks import ALL_ATTACKS
-
-    by_name = {cls.name: cls for cls in ALL_ATTACKS}
-    registry: dict[str, type] = {}
-    for threat in THREATS.values():
-        for impl in threat.attack_impls:
-            if impl in by_name:
-                registry[impl] = by_name[impl]
-    return registry
-
-
-def defense_registry() -> dict[str, type]:
-    """Map defence taxonomy keys to implementing classes."""
-    from repro.core.defenses import ALL_DEFENSES
-
-    by_name = {cls.name: cls for cls in ALL_DEFENSES}
-    registry: dict[str, type] = {}
-    for mechanism in MECHANISMS.values():
-        for impl in mechanism.defense_impls:
-            if impl in by_name:
-                registry[impl] = by_name[impl]
-    return registry
-
-
-def check_taxonomy_complete() -> list[str]:
-    """Return a list of inconsistencies (empty = taxonomy fully backed).
-
-    Checks, in both directions:
-    * every Table II threat names at least one implemented attack class,
-    * every Table III mechanism names at least one implemented defence,
-    * every implemented attack/defence is referenced from the taxonomy,
-    * mechanism ``attack_targets`` reference catalogued threats.
-    """
-    from repro.core.attacks import ALL_ATTACKS
-    from repro.core.defenses import ALL_DEFENSES
-
-    problems: list[str] = []
-    attack_names = {cls.name for cls in ALL_ATTACKS}
-    defense_names = {cls.name for cls in ALL_DEFENSES}
-
-    referenced_attacks: set[str] = set()
-    for threat in THREATS.values():
-        if not threat.attack_impls:
-            problems.append(f"threat {threat.key!r} has no implementation listed")
-        for impl in threat.attack_impls:
-            referenced_attacks.add(impl)
-            if impl not in attack_names:
-                problems.append(f"threat {threat.key!r} names missing attack "
-                                f"class {impl!r}")
-    for orphan in sorted(attack_names - referenced_attacks):
-        problems.append(f"attack {orphan!r} is implemented but not catalogued")
-
-    referenced_defenses: set[str] = set()
-    for mechanism in MECHANISMS.values():
-        if not mechanism.defense_impls:
-            problems.append(f"mechanism {mechanism.key!r} has no implementation")
-        for impl in mechanism.defense_impls:
-            referenced_defenses.add(impl)
-            if impl not in defense_names:
-                problems.append(f"mechanism {mechanism.key!r} names missing "
-                                f"defence class {impl!r}")
-        for target in mechanism.attack_targets:
-            if target not in THREATS:
-                problems.append(f"mechanism {mechanism.key!r} targets unknown "
-                                f"threat {target!r}")
-    referenced_defenses.update(EXTENSION_DEFENSES)
-    for orphan in sorted(defense_names - referenced_defenses):
-        problems.append(f"defence {orphan!r} is implemented but not catalogued")
-    for extension in EXTENSION_DEFENSES:
-        if extension not in defense_names:
-            problems.append(f"extension defence {extension!r} catalogued but "
-                            "not implemented")
-
-    return problems

@@ -4,9 +4,10 @@
 paper's canonical experiments; :func:`experiment_spec` and
 :func:`defense_stack` resolve them through the component registry into
 :class:`~repro.core.experiment.ExperimentSpec` /
-:class:`~repro.core.experiment.DefenseStack` objects.  The campaign
-layer (``threat_experiment`` / ``make_defenses``) is a thin wrapper over
-these accessors.
+:class:`~repro.core.experiment.DefenseStack` objects, which the campaign
+planner and the runner's workers build episodes from.
+:func:`check_catalogue_complete` checks the whole chain from taxonomy
+row to registered component to catalogued experiment.
 """
 
 from repro.experiments.catalog import (

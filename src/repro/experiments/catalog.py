@@ -33,6 +33,7 @@ from repro.core.experiment import (
     ExperimentSpec,
     MetricSpec,
 )
+from repro.core.registry import REGISTRY
 
 _WARMUP = {"$config": "warmup"}
 
@@ -333,9 +334,8 @@ def experiment_spec(threat_key: str,
     """The canonical :class:`ExperimentSpec` for a threat (and variant).
 
     ``variant=None`` selects the threat's default variant.  Unknown
-    threats raise ``KeyError`` (the historical ``threat_experiment``
-    contract); unknown variants raise ``ValueError`` naming the valid
-    ones -- no silent fallbacks.
+    threats raise ``KeyError``; unknown variants raise ``ValueError``
+    naming the valid ones -- no silent fallbacks.
     """
     entry = _catalogue_entry(threat_key)
     variant = variant or entry["default"]
@@ -358,8 +358,7 @@ def experiment_spec(threat_key: str,
 def defense_stack(mechanism_key: str) -> DefenseStack:
     """The canonical :class:`DefenseStack` for a Table III mechanism.
 
-    Unknown mechanisms raise ``KeyError`` (the historical
-    ``make_defenses`` contract).
+    Unknown mechanisms raise ``KeyError``.
     """
     try:
         data = DEFENSE_STACKS[mechanism_key]
@@ -392,12 +391,52 @@ def iter_defense_stacks() -> Iterator[tuple]:
 
 
 def check_catalogue_complete() -> list:
-    """Structural problems in the catalogue, empty when healthy.
+    """Every break in the chain taxonomy row -> registered component ->
+    catalogued experiment; empty when healthy.
 
-    Verifies that every taxonomy threat and mechanism resolves through
-    the registry-backed catalogue, and that every catalogued spec builds.
+    Reads :data:`~repro.core.registry.REGISTRY`, the index every spec
+    resolves through, and reports rows naming unregistered
+    implementations, registered attacks or defences that no row or
+    extension names, mechanism targets outside Table II, catalogue
+    entries the taxonomy lacks, and variants or defence stacks that do
+    not resolve.
     """
     problems: list = []
+    attacks = set(REGISTRY.keys("attack"))
+    defenses = set(REGISTRY.keys("defense"))
+    named_attacks: set = set()
+    named_defenses = set(taxonomy.EXTENSION_DEFENSES)
+    for threat in taxonomy.THREATS.values():
+        if not threat.attack_impls:
+            problems.append(f"threat {threat.key!r} names no implementation")
+        for impl in threat.attack_impls:
+            named_attacks.add(impl)
+            if impl not in attacks:
+                problems.append(f"threat {threat.key!r} names unregistered "
+                                f"attack {impl!r}")
+    for mechanism in taxonomy.MECHANISMS.values():
+        if not mechanism.defense_impls:
+            problems.append(f"mechanism {mechanism.key!r} names no "
+                            "implementation")
+        for impl in mechanism.defense_impls:
+            named_defenses.add(impl)
+            if impl not in defenses:
+                problems.append(f"mechanism {mechanism.key!r} names "
+                                f"unregistered defence {impl!r}")
+        for target in mechanism.attack_targets:
+            if target not in taxonomy.THREATS:
+                problems.append(f"mechanism {mechanism.key!r} targets "
+                                f"unknown threat {target!r}")
+    for extension in taxonomy.EXTENSION_DEFENSES:
+        if extension not in defenses:
+            problems.append(f"extension defence {extension!r} is not "
+                            "registered")
+    for orphan in sorted(attacks - named_attacks):
+        problems.append(f"attack {orphan!r} is registered but no taxonomy "
+                        "row names it")
+    for orphan in sorted(defenses - named_defenses):
+        problems.append(f"defence {orphan!r} is registered but no taxonomy "
+                        "row or extension names it")
     for threat_key in taxonomy.THREATS:
         if threat_key not in CATALOGUE:
             problems.append(f"threat {threat_key!r} has no catalogued "
@@ -409,7 +448,7 @@ def check_catalogue_complete() -> list:
             except (KeyError, ValueError) as exc:
                 problems.append(f"experiment {threat_key}/{variant} does "
                                 f"not resolve: {exc}")
-    for extra in set(CATALOGUE) - set(taxonomy.THREATS):
+    for extra in sorted(set(CATALOGUE) - set(taxonomy.THREATS)):
         problems.append(f"catalogue names unknown threat {extra!r}")
     for mechanism_key in taxonomy.MECHANISMS:
         if mechanism_key not in DEFENSE_STACKS:
@@ -421,7 +460,7 @@ def check_catalogue_complete() -> list:
         except (KeyError, ValueError) as exc:
             problems.append(f"defence stack {mechanism_key} does not "
                             f"resolve: {exc}")
-    for extra in set(DEFENSE_STACKS) - set(taxonomy.MECHANISMS):
+    for extra in sorted(set(DEFENSE_STACKS) - set(taxonomy.MECHANISMS)):
         problems.append("defence-stack table names unknown mechanism "
                         f"{extra!r}")
     return problems

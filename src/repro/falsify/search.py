@@ -144,9 +144,8 @@ class Falsifier:
     """Searches a schedule space for safety violations.
 
     ``runner`` defaults to a fresh serial :class:`CampaignRunner`; pass
-    one configured with workers / a result store -- or just a ``store``
-    URL (``sqlite:<path>``) -- to parallelise and persist candidate
-    evaluations.  Memoised candidates in a shared
+    one configured with workers / a result store to parallelise and
+    persist candidate evaluations.  Memoised candidates in a shared
     store are reused across falsifier processes (budgeted-search
     campaigns hammer the same schedules from many workers), with unit
     leases keeping concurrent searches from evaluating one candidate
@@ -154,13 +153,9 @@ class Falsifier:
     """
 
     def __init__(self, runner: Optional[CampaignRunner] = None, *,
-                 store=None, root_seed: int = 42,
+                 root_seed: int = 42,
                  log: Optional[Callable[[str], None]] = None) -> None:
-        if runner is not None and store is not None:
-            raise ValueError("pass either a preconfigured runner or a "
-                             "store, not both")
-        self.runner = runner if runner is not None \
-            else CampaignRunner(store=store)
+        self.runner = runner if runner is not None else CampaignRunner()
         self.root_seed = int(root_seed)
         self._log = log if log is not None else (lambda message: None)
 

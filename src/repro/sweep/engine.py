@@ -90,14 +90,11 @@ def expand_points(spec: SweepSpec) -> list[SweepPoint]:
 
 
 class SweepEngine:
-    """Plans and executes sweeps through a campaign runner."""
+    """Plans and executes sweeps through a campaign runner (a serial,
+    store-less :class:`CampaignRunner` unless one is passed)."""
 
-    def __init__(self, runner: Optional[CampaignRunner] = None, *,
-                 workers: int = 1, store=None, trace_dir=None,
-                 telemetry=None) -> None:
-        self.runner = runner if runner is not None else CampaignRunner(
-            workers=workers, store=store, trace_dir=trace_dir,
-            telemetry=telemetry)
+    def __init__(self, runner: Optional[CampaignRunner] = None) -> None:
+        self.runner = runner if runner is not None else CampaignRunner()
 
     def _emit_phase(self, phase: str, finished: bool = False,
                     **payload) -> None:
@@ -183,10 +180,7 @@ class SweepEngine:
                            thresholds=thresholds)
 
 
-def run_sweep(spec: SweepSpec, *, workers: int = 1, store=None,
-              trace_dir=None, telemetry=None,
+def run_sweep(spec: SweepSpec, *,
               runner: Optional[CampaignRunner] = None) -> SweepResult:
     """One-call sweep: build an engine, run, aggregate."""
-    engine = SweepEngine(runner=runner, workers=workers, store=store,
-                         trace_dir=trace_dir, telemetry=telemetry)
-    return engine.run(spec)
+    return SweepEngine(runner=runner).run(spec)

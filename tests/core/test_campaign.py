@@ -8,15 +8,14 @@ import pytest
 from repro.core import taxonomy
 from repro.core.campaign import (
     MatrixCell,
-    make_defenses,
     run_defense_matrix,
     run_experiment_spec,
     run_threat_catalogue,
-    threat_experiment,
 )
 from repro.core.experiment import ExperimentSpec, load_experiment_spec
 from repro.core.runner import CampaignRunner
 from repro.core.scenario import ScenarioConfig, run_episode
+from repro.experiments import defense_stack, experiment_spec
 from repro.obs.trace import load_trace
 
 SPECS = Path(__file__).resolve().parent.parent.parent / "examples" / "specs"
@@ -37,7 +36,7 @@ def matrix_cell(mechanism, threat, config):
 class TestExperimentConstruction:
     def test_every_threat_has_an_experiment(self, small):
         for key in taxonomy.THREATS:
-            experiment = threat_experiment(key, small)
+            experiment = experiment_spec(key).build(small)
             assert experiment.threat_key == key
             assert callable(experiment.make_attacks)
             attacks = experiment.make_attacks()
@@ -45,15 +44,15 @@ class TestExperimentConstruction:
 
     def test_unknown_threat_rejected(self, small):
         with pytest.raises(KeyError):
-            threat_experiment("quantum_hack", small)
+            experiment_spec("quantum_hack").build(small)
 
     def test_variants_change_experiment(self, small):
-        split = threat_experiment("fake_maneuver", small, variant="split")
-        entrance = threat_experiment("fake_maneuver", small, variant="entrance")
+        split = experiment_spec("fake_maneuver", "split").build(small)
+        entrance = experiment_spec("fake_maneuver", "entrance").build(small)
         assert split.metric_name != entrance.metric_name
 
     def test_attack_factory_produces_fresh_instances(self, small):
-        experiment = threat_experiment("jamming", small)
+        experiment = experiment_spec("jamming").build(small)
         first = experiment.make_attacks()
         second = experiment.make_attacks()
         assert first[0] is not second[0]
@@ -61,33 +60,33 @@ class TestExperimentConstruction:
     def test_unknown_malware_variant_rejected(self, small):
         # Historically this silently fell back to the wireless vector.
         with pytest.raises(ValueError, match="wireless"):
-            threat_experiment("malware", small, variant="usb")
+            experiment_spec("malware", "usb").build(small)
 
     def test_unknown_fake_maneuver_variant_rejected(self, small):
         # Historically this raised a bare KeyError from the metric dict.
         with pytest.raises(ValueError, match="entrance"):
-            threat_experiment("fake_maneuver", small, variant="warp")
+            experiment_spec("fake_maneuver", "warp").build(small)
 
 
 class TestDefenseConstruction:
     def test_every_mechanism_buildable(self):
         for key in taxonomy.MECHANISMS:
-            defenses, requirements = make_defenses(key)
-            assert defenses
-            assert isinstance(requirements, dict)
+            stack = defense_stack(key)
+            assert stack.build()
+            assert isinstance(stack.requirements, dict)
 
     def test_hybrid_requires_vlc(self):
-        _, requirements = make_defenses("hybrid_communications")
+        requirements = defense_stack("hybrid_communications").requirements
         assert requirements.get("with_vlc") is True
 
     def test_rsu_requires_infrastructure(self):
-        _, requirements = make_defenses("roadside_units")
+        requirements = defense_stack("roadside_units").requirements
         assert requirements.get("with_authority") is True
         assert requirements.get("rsu_positions")
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(KeyError):
-            make_defenses("prayer")
+            defense_stack("prayer")
 
 
 class TestThreatOutcome:

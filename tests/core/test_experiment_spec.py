@@ -6,6 +6,7 @@ spec round-trip guarantee (parse -> resolve -> re-serialise is
 byte-identical for canonical-form JSON).
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -70,13 +71,27 @@ class TestCompleteness:
     def test_every_taxonomy_impl_registered(self):
         for threat in taxonomy.THREATS.values():
             for impl in threat.attack_impls:
-                assert REGISTRY.has("attack", impl), impl
+                assert impl in REGISTRY.keys("attack"), impl
         for mechanism in taxonomy.MECHANISMS.values():
             for impl in mechanism.defense_impls:
-                assert REGISTRY.has("defense", impl), impl
+                assert impl in REGISTRY.keys("defense"), impl
 
     def test_catalogue_check_is_clean(self):
         assert check_catalogue_complete() == []
+
+    def test_stray_registered_attack_reported(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY._components["attack"], "stray_jammer",
+                            REGISTRY.get("attack", "jamming"))
+        assert check_catalogue_complete() == [
+            "attack 'stray_jammer' is registered but no taxonomy row "
+            "names it"]
+
+    def test_row_naming_unregistered_impl_reported(self, monkeypatch):
+        row = taxonomy.THREATS["jamming"]
+        monkeypatch.setitem(taxonomy.THREATS, "jamming", dataclasses.replace(
+            row, attack_impls=row.attack_impls + ("ghost_jammer",)))
+        assert check_catalogue_complete() == [
+            "threat 'jamming' names unregistered attack 'ghost_jammer'"]
 
 
 class TestCatalogueAccess:

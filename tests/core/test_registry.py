@@ -120,13 +120,3 @@ class TestMetrics:
     def test_unknown_metric_is_keyerror(self):
         with pytest.raises(KeyError):
             metric_direction("vibes")
-
-
-class TestSchemaView:
-    def test_schema_is_plain_json(self):
-        import json
-
-        schema = REGISTRY.get("attack", "sybil").schema()
-        json.dumps(schema)          # must not raise
-        names = {p["name"] for p in schema["params"]}
-        assert "n_ghosts" in names

@@ -15,7 +15,6 @@ from repro.core.campaign import (
     plan_threat_experiment,
     run_defense_matrix,
     run_threat_catalogue,
-    threat_experiment,
 )
 from repro.core.runner import (
     CampaignRunner,
@@ -25,6 +24,7 @@ from repro.core.runner import (
     derive_seed,
 )
 from repro.core.scenario import ScenarioConfig
+from repro.experiments import experiment_spec
 from repro.store import SqliteStore
 
 # Small episodes: the engine behaviour under test is identical at any size.
@@ -114,8 +114,8 @@ class TestEpisodeSpec:
         # otherwise the content hash would alias distinct episodes.
         for key in taxonomy.THREATS:
             plan = plan_threat_experiment(key, TINY)
-            rebuilt = threat_experiment(key, plan.baseline.config,
-                                        variant=plan.baseline.variant)
+            rebuilt = experiment_spec(key, plan.baseline.variant).build(
+                plan.baseline.config)
             assert rebuilt.config == plan.baseline.config, key
 
 
@@ -321,7 +321,6 @@ class TestCacheAccounting:
         run_threat_catalogue(TINY, threats=["jamming"], runner=runner)
         for unit in runner.report().units:
             assert unit.wall_time > 0.0
-            assert unit.finished >= unit.started
 
 
 class TestSerialParallelEquivalence:
@@ -330,13 +329,13 @@ class TestSerialParallelEquivalence:
                                                      "falsification"])
         parallel = run_threat_catalogue(TINY, threats=["jamming",
                                                        "falsification"],
-                                        workers=2)
+                                        runner=CampaignRunner(workers=2))
         assert serial == parallel
 
     def test_matrix_identical_across_worker_counts(self):
         serial = run_defense_matrix(TINY, mechanisms=["onboard_security"])
         parallel = run_defense_matrix(TINY, mechanisms=["onboard_security"],
-                                      workers=2)
+                                      runner=CampaignRunner(workers=2))
         assert serial == parallel
 
 
@@ -353,7 +352,8 @@ class TestDiskCache:
 
     def test_persists_across_runner_instances(self, tmp_path):
         url = self.url(tmp_path)
-        first = run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        first = run_threat_catalogue(TINY, threats=["jamming"],
+                                     runner=CampaignRunner(store=url))
         assert SqliteStore(tmp_path / "store.db").keys()
         fresh = CampaignRunner(store=url)
         second = run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
@@ -365,7 +365,7 @@ class TestDiskCache:
     def test_corrupt_cache_file_recomputes(self, tmp_path):
         url = self.url(tmp_path)
         reference = run_threat_catalogue(TINY, threats=["jamming"],
-                                         store=url)
+                                         runner=CampaignRunner(store=url))
         self.execute(tmp_path, "UPDATE records SET record = '{ this is not json'")
         fresh = CampaignRunner(store=url)
         recovered = run_threat_catalogue(TINY, threats=["jamming"],
@@ -379,7 +379,8 @@ class TestDiskCache:
 
     def test_stale_format_recomputes(self, tmp_path):
         url = self.url(tmp_path)
-        run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        run_threat_catalogue(TINY, threats=["jamming"],
+                             runner=CampaignRunner(store=url))
         self.execute(tmp_path, "UPDATE records SET format = ?",
                      ("platoonsec-episode-cache/0",))
         fresh = CampaignRunner(store=url)
@@ -388,7 +389,8 @@ class TestDiskCache:
 
     def test_key_mismatch_recomputes(self, tmp_path):
         url = self.url(tmp_path)
-        run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        run_threat_catalogue(TINY, threats=["jamming"],
+                             runner=CampaignRunner(store=url))
         first, second = SqliteStore(tmp_path / "store.db").keys()
         # Copy one row's record (and its valid checksum) under another
         # row's key: the embedded spec_key no longer matches, so the
@@ -427,12 +429,10 @@ class TestRunReport:
         units = [
             UnitReport(key="k1", threat_key="jamming", variant="v",
                        role="baseline", mechanism_key=None,
-                       cache_hit=False, source="computed", wall_time=0.42,
-                       started=0.0, finished=0.42),
+                       cache_hit=False, source="computed", wall_time=0.42),
             UnitReport(key="k2", threat_key="jamming", variant="v",
                        role="defended", mechanism_key="mac",
-                       cache_hit=True, source="disk", wall_time=0.0,
-                       started=0.42, finished=0.42),
+                       cache_hit=True, source="disk", wall_time=0.0),
         ]
         return RunReport(workers=3, units=units, wall_time=1.5,
                          counters={"frames.sent": 10.0},

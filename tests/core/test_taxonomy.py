@@ -5,6 +5,7 @@ import pytest
 from repro.core import taxonomy
 from repro.core.attacks import ALL_ATTACKS
 from repro.core.defenses import ALL_DEFENSES
+from repro.core.registry import REGISTRY
 from repro.core.taxonomy import (
     MECHANISMS,
     OPEN_CHALLENGES,
@@ -12,10 +13,8 @@ from repro.core.taxonomy import (
     THREATS,
     Asset,
     SecurityAttribute,
-    attack_registry,
-    check_taxonomy_complete,
-    defense_registry,
 )
+from repro.experiments import check_catalogue_complete
 
 
 class TestTableI:
@@ -108,18 +107,13 @@ class TestTableIII:
 
 class TestRegistry:
     def test_taxonomy_fully_backed_by_code(self):
-        assert check_taxonomy_complete() == []
-
-    def test_attack_registry_covers_all_impls(self):
-        registry = attack_registry()
-        assert set(registry) == {cls.name for cls in ALL_ATTACKS}
+        assert check_catalogue_complete() == []
 
     def test_defense_registry_covers_all_table3_impls(self):
-        registry = defense_registry()
         table3_impls = {impl for m in MECHANISMS.values()
                         for impl in m.defense_impls}
-        assert set(registry) == table3_impls
-        # Extensions are catalogued separately, not in the Table III registry.
+        assert table3_impls <= set(REGISTRY.keys("defense"))
+        # Extensions are catalogued separately, not as Table III rows.
         extension_names = set(taxonomy.EXTENSION_DEFENSES)
         assert extension_names <= {cls.name for cls in ALL_DEFENSES}
         assert not extension_names & table3_impls

@@ -31,7 +31,8 @@ CELLS = {("sybil", "highway-ghost-shopping"),
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
     store = f"sqlite:{tmp_path_factory.mktemp('highway-store') / 'store.db'}"
-    first = run_threat_catalogue(BASE, highway_variants(), store=store)
+    first = run_threat_catalogue(BASE, highway_variants(),
+                                 runner=CampaignRunner(store=store))
     sink = RecordingSink()
     second = run_threat_catalogue(
         BASE, highway_variants(),

@@ -30,7 +30,7 @@ def tiny_report(wall_time=2.0, computed=2):
             key=f"unit{i}", threat_key="jamming", variant="v",
             role="baseline" if i == 0 else "attacked", mechanism_key=None,
             cache_hit=hit, source="memory" if hit else "computed",
-            wall_time=0.0 if hit else 0.4, started=0.0, finished=0.4))
+            wall_time=0.0 if hit else 0.4))
     return RunReport(workers=2, units=units, wall_time=wall_time,
                      counters={"frames.sent": 100.0, "disbands": 2.0},
                      timers={"episode": {"count": 2, "total": 0.8,

@@ -227,7 +227,8 @@ class TestRunnerAggregation:
 
     def test_disk_cache_hits_do_not_double_count(self, tmp_path):
         store = f"sqlite:{tmp_path / 'store.db'}"
-        run_threat_catalogue(TINY, threats=["jamming"], store=store)
+        run_threat_catalogue(TINY, threats=["jamming"],
+                             runner=CampaignRunner(store=store))
         fresh = CampaignRunner(store=store)
         run_threat_catalogue(TINY, threats=["jamming"], runner=fresh)
         report = fresh.report()

@@ -49,12 +49,10 @@ def run_report():
     units = [
         UnitReport(key="a" * 64, threat_key="jamming", variant="v",
                    role="baseline", mechanism_key=None, cache_hit=False,
-                   source="computed", wall_time=0.4, started=0.0,
-                   finished=0.4),
+                   source="computed", wall_time=0.4),
         UnitReport(key="b" * 64, threat_key="jamming", variant="v",
                    role="attacked", mechanism_key=None, cache_hit=True,
-                   source="disk", wall_time=0.0, started=0.4,
-                   finished=0.4),
+                   source="disk", wall_time=0.0),
     ]
     return RunReport(workers=2, units=units, wall_time=0.5,
                      phases={"resolve": 0.01, "compute": 0.45})

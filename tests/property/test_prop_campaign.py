@@ -48,7 +48,7 @@ class TestEpisodeDeterminism:
         first = run_threat_catalogue(config, threats=["jamming"])
         second = run_threat_catalogue(config, threats=["jamming"])
         parallel = run_threat_catalogue(config, threats=["jamming"],
-                                        workers=2)
+                                        runner=CampaignRunner(workers=2))
         # Dataclass equality covers every field bit-for-bit, including
         # the attack-observables dict.
         assert first == second == parallel
@@ -58,7 +58,7 @@ class TestEpisodeDeterminism:
         serial = run_defense_matrix(config, mechanisms=["onboard_security"])
         again = run_defense_matrix(config, mechanisms=["onboard_security"])
         parallel = run_defense_matrix(config, mechanisms=["onboard_security"],
-                                      workers=2)
+                                      runner=CampaignRunner(workers=2))
         assert serial == again == parallel
 
     @given(root=st.sampled_from([3, 91, 404, 8675309]))

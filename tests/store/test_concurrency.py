@@ -18,7 +18,7 @@ THREATS = ["jamming", "falsification"]
 
 def _race_campaign(url, queue):
     """Child-process entry point (module-level for picklability)."""
-    runner = CampaignRunner(workers=2, store=url, lease_poll=0.02)
+    runner = CampaignRunner(workers=2, store=url)
     outcomes = run_threat_catalogue(TINY, threats=THREATS, runner=runner)
     report = runner.report()
     queue.put({

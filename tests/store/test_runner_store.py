@@ -31,7 +31,8 @@ class TestRunnerStoreWiring:
 
     def test_sqlite_persists_across_runner_instances(self, tmp_path):
         url = f"sqlite:{tmp_path / 'store.db'}"
-        first = run_threat_catalogue(TINY, threats=["jamming"], store=url)
+        first = run_threat_catalogue(TINY, threats=["jamming"],
+                                     runner=CampaignRunner(store=url))
         fresh = CampaignRunner(store=url)
         second = run_threat_catalogue(TINY, threats=["jamming"],
                                       runner=fresh)
@@ -43,7 +44,7 @@ class TestRunnerStoreWiring:
     def test_store_run_equals_store_less_run(self, tmp_path):
         via_store = run_threat_catalogue(
             TINY, threats=["jamming"],
-            store=f"sqlite:{tmp_path / 'store.db'}")
+            runner=CampaignRunner(store=f"sqlite:{tmp_path / 'store.db'}"))
         assert via_store == run_threat_catalogue(TINY, threats=["jamming"])
 
 
@@ -131,7 +132,7 @@ class TestLeaseHandOff:
         thread = threading.Thread(target=finish_elsewhere)
         thread.start()
         try:
-            runner = CampaignRunner(store=cold, lease_poll=0.02)
+            runner = CampaignRunner(store=cold)
             results = run_threat_catalogue(TINY, threats=["jamming"],
                                            runner=runner)
         finally:
@@ -139,8 +140,8 @@ class TestLeaseHandOff:
         report = runner.report()
         assert report.computed == 0 and report.cache_hits == 2
         assert {u.source for u in report.units} == {"disk"}
-        assert results == run_threat_catalogue(TINY, threats=["jamming"],
-                                               store=warm)
+        assert results == run_threat_catalogue(
+            TINY, threats=["jamming"], runner=CampaignRunner(store=warm))
 
     def test_crashed_lease_expires_and_unit_is_taken_over(self, tmp_path):
         # The holder died without storing a result or releasing: after
@@ -149,7 +150,7 @@ class TestLeaseHandOff:
         cold = SqliteStore(tmp_path / "cold.db")
         for key in keys:
             cold.acquire(key, "crashed-worker", ttl=0.2)
-        runner = CampaignRunner(store=cold, lease_poll=0.02)
+        runner = CampaignRunner(store=cold)
         run_threat_catalogue(TINY, threats=["jamming"], runner=runner)
         report = runner.report()
         assert report.computed == 2 and report.cache_hits == 0

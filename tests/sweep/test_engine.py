@@ -6,7 +6,7 @@ the engine behaviour under test is size-independent.
 
 import pytest
 
-from repro.core.runner import derive_replicate_seed
+from repro.core.runner import CampaignRunner, derive_replicate_seed
 from repro.sweep.artifacts import artifact_bytes, sweep_csv
 from repro.sweep.engine import SweepEngine, expand_points, run_sweep
 from repro.sweep.spec import PRESETS, SweepAxis, SweepSpec, Threshold
@@ -160,8 +160,8 @@ class TestExecution:
     def test_serial_parallel_cache_byte_identity(self, tmp_path):
         spec = tiny_spec()
         store = f"sqlite:{tmp_path / 'store.db'}"
-        cold = run_sweep(spec, workers=2, store=store)
-        warm = run_sweep(spec, store=store)
+        cold = run_sweep(spec, runner=CampaignRunner(workers=2, store=store))
+        warm = run_sweep(spec, runner=CampaignRunner(store=store))
         plain = run_sweep(spec)
         assert artifact_bytes(cold) == artifact_bytes(warm)
         assert artifact_bytes(cold) == artifact_bytes(plain)

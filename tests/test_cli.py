@@ -22,6 +22,25 @@ class TestCli:
         assert "Table III" in out
         assert "registry check" in out
 
+    @pytest.mark.parametrize("command", [["taxonomy"],
+                                         ["experiments", "--validate"]],
+                             ids=" ".join)
+    def test_stray_registered_attack_fails_check(self, command, monkeypatch,
+                                                 capsys):
+        from repro.core.registry import REGISTRY
+
+        monkeypatch.setitem(REGISTRY._components["attack"], "stray_jammer",
+                            REGISTRY.get("attack", "jamming"))
+        assert main(command) == 1
+        assert "'stray_jammer' is registered" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--workers", "-4"), ("--vehicles", "0"),
+        ("--duration", "-5")])
+    def test_out_of_range_run_sizes_rejected(self, flag, value, capsys):
+        assert main([flag, value, "catalogue", "--only", "jamming"]) == 2
+        assert f"got {value}" in capsys.readouterr().err
+
     def test_risk_command(self, capsys):
         assert main(["risk"]) == 0
         out = capsys.readouterr().out
@@ -551,6 +570,15 @@ class TestCliReport:
         assert "Run summary" in text
         assert "jamming" in text
         self.assert_self_contained(text)
+
+    def test_report_prints_run_summary(self, tmp_path, capsys):
+        out = tmp_path / "cat.html"
+        assert main(TINY + ["--report", "report", "catalogue", "--only",
+                            "jamming", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "campaign unit report" in printed
+        assert "campaign: 2 units (2 computed" in printed
+        assert f"report: {out}" in printed
 
     def test_sweep_report_with_curves(self, tmp_path, capsys):
         import json as _json

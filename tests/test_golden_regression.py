@@ -97,7 +97,7 @@ class TestTable2Golden:
 # Safety-envelope metrics at GOLDEN_CONFIG, pinned like the tables:
 # (min_true_gap, min_brake_margin, collision_count).  Regenerate with
 #   run_episode(GOLDEN_CONFIG) and
-#   threat_experiment("falsification", GOLDEN_CONFIG) + run_episode(...)
+#   experiment_spec("falsification").build(GOLDEN_CONFIG) + run_episode(...)
 # and update in the same commit as any legitimate physics change.
 SAFETY_GOLDEN = {
     "baseline": (14.923295691373141, 14.554580085040293, 0),
@@ -121,10 +121,10 @@ class TestSafetyGolden:
         self.check(run_episode(GOLDEN_CONFIG).metrics, "baseline")
 
     def test_falsification_attacked_envelope(self):
-        from repro.core.campaign import threat_experiment
         from repro.core.scenario import run_episode
+        from repro.experiments import experiment_spec
 
-        experiment = threat_experiment("falsification", GOLDEN_CONFIG)
+        experiment = experiment_spec("falsification").build(GOLDEN_CONFIG)
         result = run_episode(experiment.config,
                              attacks=experiment.make_attacks(),
                              setup_hooks=experiment.hooks)
